@@ -2,7 +2,8 @@
 //!
 //! Times the hot paths of `sram_physics` (repeated power cycles of a
 //! 1 MiB array, scalar vs batched-warm vs rep-delta) and `attack_e2e`
-//! (a full board power cycle), then writes the numbers to
+//! (a full board power cycle, and a cold power-on of a Pi 4 die never
+//! seen before in the process), then writes the numbers to
 //! `BENCH_sram.json` in the current directory so successive PRs can
 //! compare. The dense metrics (`batched_*`) are measured through
 //! `ResolutionMode::BatchedFull` so they keep pricing the full wide
@@ -207,6 +208,21 @@ fn main() {
         black_box(soc.power_cycle(PowerCycleSpec::quick()).unwrap().retention.len());
     });
 
+    // -- cold board power-on: a Pi 4 die never seen before -------------
+    // What a campaign pays per fresh die: every array derives its
+    // power-up stream (the DRV and decay streams wait for a power cycle
+    // that consults them) and samples its first power-up state. Each
+    // sample is a distinct board seed, so every one of them is cold.
+    let t_cold = (0..3u64)
+        .map(|i| {
+            let mut soc = devices::raspberry_pi_4(0xC01D_0000 + i);
+            let t0 = Instant::now();
+            soc.power_on_all();
+            t0.elapsed()
+        })
+        .min()
+        .expect("three cold samples");
+
     let threads = voltboot_sram::par::thread_count();
     // What the batched engine actually used for this array, not the
     // pool's nominal size: small arrays and single-thread pools shard
@@ -224,6 +240,7 @@ fn main() {
     );
     println!("delta speedup (dense vs delta) : {delta_speedup:.1}x (gate: >= 10x)");
     println!("pi4 full-board warm power cycle: {t_soc:?}");
+    println!("pi4 cold power-on, best-of-3   : {t_cold:?} (gate: <= 800 ms)");
     println!("threads: {threads} (pool), resolution workers used: {workers}");
 
     // Hand-rolled JSON: the workspace intentionally has no serde_json.
@@ -238,7 +255,8 @@ fn main() {
          \"delta_dense_rep_ms\": {:.3},\n  \"delta_rep_ms\": {:.4},\n  \
          \"delta_speedup\": {delta_speedup:.2},\n  \
          \"delta_hot_words\": {delta_hot_words},\n  \
-         \"pi4_power_cycle_ms\": {:.3},\n  \"threads\": {workers}\n}}\n",
+         \"pi4_power_cycle_ms\": {:.3},\n  \"pi4_cold_power_on_ms\": {:.3},\n  \
+         \"threads\": {workers}\n}}\n",
         t_scalar.as_secs_f64() * 1e3,
         t_batched.as_secs_f64() * 1e3,
         t_batched_min.as_secs_f64() * 1e3,
@@ -248,6 +266,7 @@ fn main() {
         t_dense_droop.as_secs_f64() * 1e3,
         t_delta.as_secs_f64() * 1e3,
         t_soc.as_secs_f64() * 1e3,
+        t_cold.as_secs_f64() * 1e3,
     );
     std::fs::write("BENCH_sram.json", &json).expect("write BENCH_sram.json");
     println!("wrote BENCH_sram.json");
@@ -412,6 +431,15 @@ fn main() {
         eprintln!(
             "BENCH FAIL: settled delta rep at {delta_speedup:.1}x the dense resolve \
              ({t_delta:?} vs {t_dense_droop:?}); the rep-delta floor is 10x"
+        );
+        failed = true;
+    }
+    // A fresh die derives only the power-up stream; the eager build of
+    // all three streams took 1.2–2.3 s here, the lazy one ~0.25 s.
+    if t_cold > Duration::from_millis(800) {
+        eprintln!(
+            "BENCH FAIL: cold Pi 4 power-on took {t_cold:?} (best of 3); a fresh die must \
+             derive only its power-up stream, gate 800 ms"
         );
         failed = true;
     }

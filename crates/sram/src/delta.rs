@@ -72,7 +72,6 @@
 
 use crate::array::OffEvent;
 use crate::bits::PackedBits;
-use crate::cell::CellDistribution;
 use crate::engine::{self, DiePlanes};
 use crate::rng;
 use std::cell::RefCell;
@@ -86,11 +85,9 @@ pub(crate) const HOT_STRIDE: usize = 4;
 /// A settled baseline for one `(die, distribution, condition)` key —
 /// see the [module docs](self) for the layout and identity argument.
 pub(crate) struct Baseline {
-    /// Leased plane set: keeps the bias plane (read by metastable
+    /// Leased plane set: keeps the power-up stream (read by metastable
     /// sampling) alive even if the die is evicted from the cache.
     planes: Arc<DiePlanes>,
-    seed: u64,
-    dist: CellDistribution,
     /// Flat hot-word records, [`HOT_STRIDE`] words each, sorted by
     /// ascending absolute word index.
     hot: Vec<u64>,
@@ -99,15 +96,9 @@ pub(crate) struct Baseline {
 }
 
 impl Baseline {
-    pub(crate) fn new(
-        planes: Arc<DiePlanes>,
-        seed: u64,
-        dist: CellDistribution,
-        hot: Vec<u64>,
-        retained: usize,
-    ) -> Self {
+    pub(crate) fn new(planes: Arc<DiePlanes>, hot: Vec<u64>, retained: usize) -> Self {
         debug_assert_eq!(hot.len() % HOT_STRIDE, 0);
-        Baseline { planes, seed, dist, hot, retained }
+        Baseline { planes, hot, retained }
     }
 
     /// Heap bytes charged against the cache's baseline byte cap.
@@ -124,12 +115,11 @@ impl Baseline {
     /// metastable values for event `event_id`, and returns the retained
     /// count. Cold words are untouched, exactly like the dense path.
     fn apply(&self, data: &mut PackedBits, event_id: u64) -> usize {
-        let ev_base = rng::event_base(self.seed, event_id);
+        let ev_base = rng::event_base(self.planes.seed(), event_id);
         let words = data.words_mut();
         for rec in self.hot.chunks_exact(HOT_STRIDE) {
             let w = rec[0] as usize;
-            let meta =
-                engine::sample_meta_word(rec[3], w, &self.planes, self.seed, &self.dist, ev_base);
+            let meta = engine::sample_meta_word(rec[3], w, &self.planes, ev_base);
             words[w] = (words[w] & rec[1]) | rec[2] | meta;
         }
         self.retained
@@ -239,8 +229,6 @@ thread_local! {
 pub(crate) fn resolve_delta(
     data: &mut PackedBits,
     planes: &Arc<DiePlanes>,
-    seed: u64,
-    dist: &CellDistribution,
     event: OffEvent,
     stress: f64,
     event_id: u64,
@@ -249,7 +237,7 @@ pub(crate) fn resolve_delta(
         return None;
     }
     let key = BaselineKey::new(event, stress);
-    let plane_key = engine::plane_key(seed, planes.bits(), dist);
+    let plane_key = planes.key();
     let generation = engine::cache_generation();
     // Steady state: the lease taken for the previous rep still matches —
     // no lock, no allocation.
@@ -267,7 +255,7 @@ pub(crate) fn resolve_delta(
             let b = slot
                 .get_or_init(|| {
                     built_here = true;
-                    Arc::new(engine::build_baseline(planes, seed, dist, event, stress))
+                    Arc::new(engine::build_baseline(planes, event, stress))
                 })
                 .clone();
             if built_here {

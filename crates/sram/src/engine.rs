@@ -12,17 +12,24 @@
 //! scalar path:
 //!
 //! 1. **Die planes** ([`DiePlanes`]) — per `(seed, distribution, size)`,
-//!    a one-time derivation pass quantizes every cell's decay budget and
-//!    DRV onto 14- and 12-bit grids and *transposes* the buckets into
-//!    bit-sliced tiles: struct-of-arrays blocks of [`TILE_WORDS`] words
-//!    × 28 rows (14 decay bit-planes, 12 DRV bit-planes, strong-1,
-//!    metastable), each tile 14 KiB and L1-resident while its 4096
-//!    cells resolve. The grid widths trade exact-fallback volume
-//!    against memory traffic: each extra bit-plane row streams another
-//!    ~0.13 bytes per cell per cycle, while each bit *removed* doubles
-//!    the (cheap, exact) bucket-tie fallback rate — these widths keep
-//!    ties in the low thousands per megabyte while the warm cycle stays
-//!    bandwidth-lean.
+//!    three independently built per-cell streams, each transposed into
+//!    bit-sliced, tile-major rows of [`TILE_WORDS`] words (4096 cells a
+//!    tile, L1-resident while they resolve): the **power-up** stream
+//!    (strong-1 and metastable masks plus the quantized bias plane),
+//!    the **DRV** stream (12 bucket bit-planes) and the **decay** stream
+//!    (14 bucket bit-planes plus its cut table). Only the power-up
+//!    stream is built when a die is first powered; the other two are
+//!    built on the first query that can consult them. On a Volt Boot
+//!    rep almost every array is certainly retained (held at or above
+//!    `drv_max`) or certainly lost (hold below `drv_min`, or stress
+//!    beyond any cell's budget), and those population bounds decide the
+//!    whole array without per-cell DRV or decay data — so a cold die
+//!    pays for the one stream its power cycles actually read. The grid
+//!    widths trade exact-fallback volume against memory traffic: each
+//!    extra bit-plane row streams another ~0.13 bytes per cell per
+//!    cycle, while each bit *removed* doubles the (cheap, exact)
+//!    bucket-tie fallback rate — these widths keep ties in the low
+//!    thousands per megabyte while the warm cycle stays bandwidth-lean.
 //!    Planes are memoized on the array and in a bounded global cache, so
 //!    repeated cycles of the same die (the common case) derive nothing.
 //! 2. **Lane kernels** — resolution is pure mask algebra over the bucket
@@ -48,7 +55,7 @@ use crate::par;
 use crate::rng::{event_word_at, unit_f64};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Arrays with at least this many bits shard word-range resolution and
 /// plane building across threads; smaller arrays stay single-threaded.
@@ -58,8 +65,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// saves.
 pub const PAR_MIN_BITS: usize = 1 << 22;
 
-/// Words per tile (4096 cells). One tile's 28 rows occupy 14 KiB — the
-/// whole working set of a resolution step fits in L1.
+/// Words per tile (4096 cells). Every stream stores its rows tile-major,
+/// so the rows a resolution step reads for one tile — at most 28 across
+/// the three streams, 14 KiB — fit in L1 together.
 pub(crate) const TILE_WORDS: usize = 64;
 
 /// Cells per tile.
@@ -78,34 +86,35 @@ const DECAY_BITS: usize = 14;
 /// normal draw, so the narrower grid wins back plane memory.
 const DRV_BITS: usize = 12;
 
-/// Rows per tile: 14 decay bit-planes, 12 DRV bit-planes, strong-1,
-/// metastable.
-const TILE_ROWS: usize = DECAY_BITS + DRV_BITS + 2;
+/// Rows per power-up tile: the strong-1 mask, then the metastable mask.
+const POWERUP_ROWS: usize = 2;
 
-/// First decay bit-plane row (row `r` holds bit `DECAY_BITS - 1 - r` of
-/// every cell's decay bucket — MSB first, matching the compare scan
-/// order).
-const DECAY_ROW0: usize = 0;
+/// Power-up tile row of the strong-1 mask.
+const STRONG1_ROW: usize = 0;
 
-/// First DRV bit-plane row (same MSB-first layout).
-const DRV_ROW0: usize = DECAY_BITS;
+/// Power-up tile row of the metastable mask.
+const META_ROW: usize = 1;
 
-/// Row of the strong-1 power-up mask.
-const STRONG1_ROW: usize = DECAY_BITS + DRV_BITS;
-
-/// Row of the metastable power-up mask.
-const META_ROW: usize = STRONG1_ROW + 1;
+/// Bound on `|z|` for every normal draw [`crate::rng::std_normal`] can
+/// return: its first uniform is floored at `f64::MIN_POSITIVE`
+/// (2^-1022), so `|z| <= sqrt(2 * 1022 * ln 2) ≈ 37.64`. A decay
+/// budget `exp(sigma * z)` therefore never exceeds
+/// `exp(|sigma| * Z_BOUND)`, and stress above that loses every cell —
+/// an exact population bound, not a plausibility cut-off.
+const Z_BOUND: f64 = 38.0;
 
 /// Total cells the global plane cache may hold before evicting the
-/// oldest die (≈4.3 bytes of plane data per cell, plus one 32 KiB cut
-/// table per die).
+/// oldest die (between ≈1.3 bytes of plane data per cell, power-up
+/// stream only, and ≈4.5 bytes with all three streams, plus one 128 KiB
+/// cut table per die whose decay stream is built).
 const MAX_CACHED_CELLS: usize = 48 << 20;
 
 /// Most dies the global plane cache retains at once. The cell cap alone
 /// does not bound a fleet sweep over millions of *small* virtual dies —
 /// a 4 Kib die occupies one tile, so 10⁶ of them would grow the cache
-/// by a gigabyte of tiles plus a 32 KiB cut table each. The entry cap
-/// keeps the steady-state footprint proportional to the working set.
+/// by gigabytes of tiles plus, once their decay streams are built, a
+/// 128 KiB cut table each. The entry cap keeps the steady-state
+/// footprint proportional to the working set.
 pub const MAX_CACHED_DIES: usize = 1024;
 
 /// Rep-delta baselines retained per die entry (FIFO). One baseline per
@@ -158,13 +167,13 @@ const DECAY_CUTS: usize = (1 << DECAY_BITS) - 1;
 /// Half-width of the standard-normal grid the cuts are placed on. The
 /// decay budget is `exp(sigma * z)` with `z` standard normal, so cuts at
 /// `exp(sigma * z_i)` for `z_i` linear over `[-8, 8]` spread the budget
-/// distribution's entire plausible mass across the 2^12 buckets; the
+/// distribution's entire plausible mass across the 2^14 buckets; the
 /// astronomically rare `|z| > 8` tail lands in the end buckets and is
 /// re-decided exactly like any other bucket tie.
 const DECAY_Z_SPAN: f64 = 8.0;
 
 /// Sorted cut table bucketing positive decay budgets (and the query's
-/// accumulated stress) onto a 2^12 grid.
+/// accumulated stress) onto a 2^14 grid.
 ///
 /// `bucket(x)` is the number of cuts `<= x` — a [`partition_point`] over
 /// a sorted table, which is weakly monotone *by construction*, with no
@@ -231,30 +240,56 @@ impl DrvGrid {
 // Die planes
 // ---------------------------------------------------------------------
 
-/// Precomputed, bit-sliced per-cell parameter planes for one die.
-///
-/// The flat `tiles` vector holds `n_tiles × TILE_ROWS × TILE_WORDS`
-/// words: tile `t`'s row `r` occupies
-/// `tiles[(t * TILE_ROWS + r) * TILE_WORDS ..][.. TILE_WORDS]`, and bit
-/// `b` of word `j` in a row describes cell `(t * TILE_WORDS + j) * 64 +
-/// b`. Rows `0..14` are the decay-bucket bit-planes (MSB first), rows
-/// `14..26` the DRV bit-planes, row 26 the strong-1 mask, row 27 the
-/// metastable mask. Word and cell coordinates are always **absolute**
-/// array positions, never tile-local — the rep-delta hot-word records in
-/// [`crate::delta`] index the same space, which is what lets their
-/// counter-mode RNG offsets land on the exact words the dense path
-/// samples. The metastable power-up bias stays a flat per-cell
-/// byte plane — it is only read for the small minority of lost
-/// metastable cells, whose per-event RNG sampling is inherently
-/// per-cell.
-pub(crate) struct DiePlanes {
-    bits: usize,
-    /// Bit-sliced tile data (see the struct docs for the layout).
-    tiles: Vec<u64>,
-    /// Quantized power-up bias of each cell, padded to whole tiles.
+/// One stream's bit-sliced rows, tile-major: tile `t`'s row `r`
+/// occupies `words[(t * ROWS + r) * TILE_WORDS ..][.. TILE_WORDS]`, and
+/// bit `b` of word `j` in a row describes cell `(t * TILE_WORDS + j) *
+/// 64 + b`. Bucket streams hold their bucket's bits MSB first (row `r`
+/// is bit `BITS - 1 - r`, matching the compare scan order).
+struct TileRows<const ROWS: usize> {
+    words: Vec<u64>,
+}
+
+impl<const ROWS: usize> TileRows<ROWS> {
+    /// All `ROWS` rows of tile `t`.
+    #[inline]
+    fn tile(&self, t: usize) -> &[u64] {
+        &self.words[t * ROWS * TILE_WORDS..][..ROWS * TILE_WORDS]
+    }
+}
+
+/// The power-up stream: what every lost cell powers up to.
+struct PowerUpStream {
+    rows: TileRows<POWERUP_ROWS>,
+    /// Quantized power-up bias of each cell, padded to whole tiles. A
+    /// flat byte plane rather than bit-planes: it is only read for the
+    /// lost metastable cells, whose per-event sampling is per-cell.
     bias_q: Vec<u8>,
-    /// The decay-budget cut table (also buckets the query's stress).
-    decay_cuts: DecayCuts,
+}
+
+/// The decay stream: decay-budget bucket rows plus the cut table that
+/// buckets both the budgets and a query's stress.
+struct DecayStream {
+    rows: TileRows<DECAY_BITS>,
+    cuts: DecayCuts,
+}
+
+/// Precomputed, bit-sliced per-cell parameter streams for one die.
+///
+/// The power-up stream is derived when the planes are built (every
+/// power-on that loses a cell reads it); the DRV and decay streams are
+/// derived on the first query that consults them, exactly once even
+/// under concurrent first requests. Word and cell coordinates are
+/// always **absolute** array positions, never tile-local — the
+/// rep-delta hot-word records in [`crate::delta`] index the same
+/// space, which is what lets their counter-mode RNG offsets land on the
+/// exact words the dense path samples.
+pub(crate) struct DiePlanes {
+    seed: u64,
+    bits: usize,
+    dist: CellDistribution,
+    powerup: PowerUpStream,
+    drv: OnceLock<TileRows<DRV_BITS>>,
+    decay: OnceLock<DecayStream>,
 }
 
 impl std::fmt::Debug for DiePlanes {
@@ -263,91 +298,176 @@ impl std::fmt::Debug for DiePlanes {
     }
 }
 
+/// Power-up streams built since process start.
+static POWERUP_BUILDS: AtomicU64 = AtomicU64::new(0);
+
+/// DRV streams built since process start.
+static DRV_BUILDS: AtomicU64 = AtomicU64::new(0);
+
+/// Decay streams built since process start.
+static DECAY_BUILDS: AtomicU64 = AtomicU64::new(0);
+
+/// Returns the stream in `slot`, building it on first use, plus whether
+/// this call built it. Concurrent first requests block on one build.
+fn get_or_build<T>(slot: &OnceLock<T>, build: impl FnOnce() -> T) -> (&T, bool) {
+    let mut built_here = false;
+    let stream = slot.get_or_init(|| {
+        built_here = true;
+        build()
+    });
+    (stream, built_here)
+}
+
 impl DiePlanes {
+    /// Derives the planes for one die: the power-up stream now, the
+    /// other two on first use.
+    fn build(seed: u64, bits: usize, dist: &CellDistribution) -> Self {
+        DiePlanes {
+            seed,
+            bits,
+            dist: *dist,
+            powerup: build_powerup(seed, bits, dist),
+            drv: OnceLock::new(),
+            decay: OnceLock::new(),
+        }
+    }
+
     /// Number of cells the planes describe.
     pub(crate) fn bits(&self) -> usize {
         self.bits
     }
 
-    /// All [`TILE_ROWS`] rows of tile `t`.
-    #[inline]
-    fn tile(&self, t: usize) -> &[u64] {
-        &self.tiles[t * TILE_ROWS * TILE_WORDS..][..TILE_ROWS * TILE_WORDS]
+    /// The die seed the planes were derived from.
+    pub(crate) fn seed(&self) -> u64 {
+        self.seed
     }
 
-    /// Derives the planes for one die, sharding large arrays across
-    /// threads on tile boundaries.
-    fn build(seed: u64, bits: usize, dist: &CellDistribution) -> Self {
-        let n_tiles = bits.div_ceil(64).div_ceil(TILE_WORDS);
-        let decay_cuts = DecayCuts::new(dist.decay_sigma);
-        let mut tiles = vec![0u64; n_tiles * TILE_ROWS * TILE_WORDS];
-        let mut bias_q = vec![0u8; n_tiles * TILE_CELLS];
-        let grid = DrvGrid::new(dist);
-        let threads = par::effective_parallelism();
-        if bits < PAR_MIN_BITS || threads <= 1 || n_tiles <= 1 {
-            build_tiles(seed, bits, dist, grid, &decay_cuts, 0, &mut tiles, &mut bias_q);
-        } else {
-            let per_shard = n_tiles.div_ceil(threads);
-            std::thread::scope(|s| {
-                let tile_chunks = tiles.chunks_mut(per_shard * TILE_ROWS * TILE_WORDS);
-                let bias_chunks = bias_q.chunks_mut(per_shard * TILE_CELLS);
-                for (i, (tc, bc)) in tile_chunks.zip(bias_chunks).enumerate() {
-                    let cuts = &decay_cuts;
-                    s.spawn(move || {
-                        build_tiles(seed, bits, dist, grid, cuts, i * per_shard, tc, bc)
-                    });
-                }
-            });
-        }
-        DiePlanes { bits, tiles, bias_q, decay_cuts }
+    /// The plane-cache key of this die.
+    pub(crate) fn key(&self) -> PlaneKey {
+        plane_key(self.seed, self.bits, &self.dist)
+    }
+
+    /// The DRV stream, plus whether this call built it.
+    fn drv(&self) -> (&TileRows<DRV_BITS>, bool) {
+        get_or_build(&self.drv, || {
+            let (seed, dist, grid) = (self.seed, &self.dist, DrvGrid::new(&self.dist));
+            let rows = build_buckets(self.bits, |cell| grid.bucket(derive_drv(seed, cell, dist)));
+            DRV_BUILDS.fetch_add(1, Ordering::Relaxed);
+            rows
+        })
+    }
+
+    /// The decay stream, plus whether this call built it.
+    fn decay(&self) -> (&DecayStream, bool) {
+        get_or_build(&self.decay, || {
+            let (seed, dist, cuts) = (self.seed, &self.dist, DecayCuts::new(self.dist.decay_sigma));
+            let rows =
+                build_buckets(self.bits, |cell| cuts.bucket(derive_decay_budget(seed, cell, dist)));
+            DECAY_BUILDS.fetch_add(1, Ordering::Relaxed);
+            DecayStream { rows, cuts }
+        })
+    }
+
+    /// The strong-1 and metastable masks of absolute word `word`.
+    #[inline(always)]
+    fn powerup_masks(&self, word: usize) -> (u64, u64) {
+        let tile = self.powerup.rows.tile(word / TILE_WORDS);
+        let j = word % TILE_WORDS;
+        (tile[STRONG1_ROW * TILE_WORDS + j], tile[META_ROW * TILE_WORDS + j])
     }
 }
 
-/// Fills a run of tiles starting at `tile_base` by deriving every cell
-/// once and transposing its bucket bits into the row bit-planes.
-#[allow(clippy::too_many_arguments)]
-fn build_tiles(
-    seed: u64,
+/// Tiles covering `bits` cells.
+fn n_tiles(bits: usize) -> usize {
+    bits.div_ceil(TILE_CELLS)
+}
+
+/// Valid cells in absolute word `word` of a `bits`-cell array.
+fn cells_in_word(bits: usize, word: usize) -> usize {
+    bits.saturating_sub(word * 64).min(64)
+}
+
+/// Runs `fill(first_tile, rows, bias)` over runs of whole tiles of one
+/// stream — `rows` holds `rows_per_tile` rows a tile, and `bias` is
+/// either empty or one byte per cell — sharding arrays of at least
+/// [`PAR_MIN_BITS`] cells across threads on tile boundaries.
+fn shard_tiles<F>(bits: usize, rows: &mut [u64], rows_per_tile: usize, bias: &mut [u8], fill: F)
+where
+    F: Fn(usize, &mut [u64], &mut [u8]) + Sync,
+{
+    let tiles = n_tiles(bits);
+    let threads = par::effective_parallelism();
+    if bits < PAR_MIN_BITS || threads <= 1 || tiles <= 1 {
+        return fill(0, rows, bias);
+    }
+    let per_shard = tiles.div_ceil(threads);
+    let bias_per_shard = if bias.is_empty() { 0 } else { per_shard * TILE_CELLS };
+    std::thread::scope(|s| {
+        let mut bias = bias;
+        for (i, rc) in rows.chunks_mut(per_shard * rows_per_tile * TILE_WORDS).enumerate() {
+            let rest = std::mem::take(&mut bias);
+            let (bc, rest) = rest.split_at_mut(bias_per_shard.min(rest.len()));
+            bias = rest;
+            let fill = &fill;
+            s.spawn(move || fill(i * per_shard, rc, bc));
+        }
+    });
+}
+
+/// Derives the power-up stream: one [`derive_powerup`] per cell.
+fn build_powerup(seed: u64, bits: usize, dist: &CellDistribution) -> PowerUpStream {
+    let mut words = vec![0u64; n_tiles(bits) * POWERUP_ROWS * TILE_WORDS];
+    let mut bias_q = vec![0u8; n_tiles(bits) * TILE_CELLS];
+    shard_tiles(bits, &mut words, POWERUP_ROWS, &mut bias_q, |tile0, rows, bias_q| {
+        for (ti, tile) in rows.chunks_mut(POWERUP_ROWS * TILE_WORDS).enumerate() {
+            for j in 0..TILE_WORDS {
+                let word = (tile0 + ti) * TILE_WORDS + j;
+                let mut strong1 = 0u64;
+                let mut metastable = 0u64;
+                for b in 0..cells_in_word(bits, word) {
+                    let (kind, bias) = derive_powerup(seed, word * 64 + b, dist);
+                    match kind {
+                        PowerUpKind::Strong0 => {}
+                        PowerUpKind::Strong1 => strong1 |= 1 << b,
+                        PowerUpKind::Metastable => metastable |= 1 << b,
+                    }
+                    bias_q[ti * TILE_CELLS + j * 64 + b] = prob_bucket(bias);
+                }
+                tile[STRONG1_ROW * TILE_WORDS + j] = strong1;
+                tile[META_ROW * TILE_WORDS + j] = metastable;
+            }
+        }
+    });
+    POWERUP_BUILDS.fetch_add(1, Ordering::Relaxed);
+    PowerUpStream { rows: TileRows { words }, bias_q }
+}
+
+/// Derives a bucket stream: `bucket(cell)` for every cell, transposed
+/// MSB first into `BITS` bit-plane rows. Padding cells stay bucket 0.
+fn build_buckets<const BITS: usize>(
     bits: usize,
-    dist: &CellDistribution,
-    grid: DrvGrid,
-    cuts: &DecayCuts,
-    tile_base: usize,
-    tiles: &mut [u64],
-    bias_q: &mut [u8],
-) {
-    for (ti, tile) in tiles.chunks_mut(TILE_ROWS * TILE_WORDS).enumerate() {
-        let word0 = (tile_base + ti) * TILE_WORDS;
-        for j in 0..TILE_WORDS {
-            let mut strong1 = 0u64;
-            let mut metastable = 0u64;
-            for b in 0..64 {
-                let cell = (word0 + j) * 64 + b;
-                if cell >= bits {
-                    break;
+    bucket: impl Fn(usize) -> u16 + Sync,
+) -> TileRows<BITS> {
+    let mut words = vec![0u64; n_tiles(bits) * BITS * TILE_WORDS];
+    shard_tiles(bits, &mut words, BITS, &mut [], |tile0, rows, _| {
+        for (ti, tile) in rows.chunks_mut(BITS * TILE_WORDS).enumerate() {
+            for j in 0..TILE_WORDS {
+                let word = (tile0 + ti) * TILE_WORDS + j;
+                let mut q = [0u16; 64];
+                for (b, q) in q[..cells_in_word(bits, word)].iter_mut().enumerate() {
+                    *q = bucket(word * 64 + b);
                 }
-                let (kind, bias) = derive_powerup(seed, cell, dist);
-                match kind {
-                    PowerUpKind::Strong0 => {}
-                    PowerUpKind::Strong1 => strong1 |= 1 << b,
-                    PowerUpKind::Metastable => metastable |= 1 << b,
-                }
-                bias_q[ti * TILE_CELLS + j * 64 + b] = prob_bucket(bias);
-                let vq = grid.bucket(derive_drv(seed, cell, dist));
-                let dq = cuts.bucket(derive_decay_budget(seed, cell, dist));
-                for r in 0..DECAY_BITS {
-                    tile[(DECAY_ROW0 + r) * TILE_WORDS + j] |=
-                        u64::from((dq >> (DECAY_BITS - 1 - r)) & 1) << b;
-                }
-                for r in 0..DRV_BITS {
-                    tile[(DRV_ROW0 + r) * TILE_WORDS + j] |=
-                        u64::from((vq >> (DRV_BITS - 1 - r)) & 1) << b;
+                for r in 0..BITS {
+                    let shift = BITS - 1 - r;
+                    tile[r * TILE_WORDS + j] = q
+                        .iter()
+                        .enumerate()
+                        .fold(0, |row, (b, &v)| row | (u64::from((v >> shift) & 1) << b));
                 }
             }
-            tile[STRONG1_ROW * TILE_WORDS + j] = strong1;
-            tile[META_ROW * TILE_WORDS + j] = metastable;
         }
-    }
+    });
+    TileRows { words }
 }
 
 // ---------------------------------------------------------------------
@@ -412,6 +532,13 @@ struct PlaneCacheState {
 static PLANE_CACHE: Mutex<PlaneCacheState> =
     Mutex::new(PlaneCacheState { entries: VecDeque::new(), baseline_bytes: 0 });
 
+/// Locks the plane cache, recovering from poisoning: every critical
+/// section leaves the state usable (at worst a baseline byte charge is
+/// stale), so a panic elsewhere must not take the cache down with it.
+fn lock_cache() -> MutexGuard<'static, PlaneCacheState> {
+    PLANE_CACHE.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Dies evicted by the entry/cell caps since process start.
 static PLANE_EVICTIONS: AtomicU64 = AtomicU64::new(0);
 
@@ -455,7 +582,7 @@ pub(crate) fn planes_for(
 ) -> (Arc<DiePlanes>, bool) {
     let key = plane_key(seed, bits, dist);
     let slot: PlaneSlot = {
-        let mut cache = PLANE_CACHE.lock().expect("plane cache poisoned");
+        let mut cache = lock_cache();
         if let Some(e) = cache.entries.iter().find(|e| e.key == key) {
             e.slot.clone()
         } else {
@@ -500,7 +627,7 @@ pub(crate) fn planes_for(
 /// counted as evictions. The cache generation is bumped so thread-local
 /// baseline leases re-validate on their next rep.
 pub fn clear_plane_cache() {
-    let mut cache = PLANE_CACHE.lock().expect("plane cache poisoned");
+    let mut cache = lock_cache();
     cache.entries.clear();
     cache.baseline_bytes = 0;
     CACHE_GENERATION.fetch_add(1, Ordering::Relaxed);
@@ -527,7 +654,7 @@ pub(crate) fn baseline_slot(
     key: &PlaneKey,
     bkey: &crate::delta::BaselineKey,
 ) -> Option<BaselineSlot> {
-    let mut cache = PLANE_CACHE.lock().expect("plane cache poisoned");
+    let mut cache = lock_cache();
     let mut displaced: Option<(crate::delta::BaselineKey, BaselineSlot)> = None;
     let slot = {
         let entry = cache.entries.iter_mut().find(|e| e.key == *key)?;
@@ -566,7 +693,7 @@ pub(crate) fn baseline_slot(
 /// nothing is charged — the builder's own `Arc` lease is then the only
 /// reference and the memory dies with the rep.
 pub(crate) fn note_baseline_built(key: &PlaneKey, bkey: &crate::delta::BaselineKey, bytes: usize) {
-    let mut cache = PLANE_CACHE.lock().expect("plane cache poisoned");
+    let mut cache = lock_cache();
     let still_cached =
         cache.entries.iter().any(|e| e.key == *key && e.baselines.iter().any(|(k, _)| k == bkey));
     if !still_cached {
@@ -633,12 +760,20 @@ pub struct PlaneCacheStats {
     /// Baselines evicted (die eviction, per-die FIFO, or byte cap)
     /// since process start.
     pub baseline_evictions: u64,
+    /// Power-up streams built since process start (one per die build).
+    pub powerup_streams_built: u64,
+    /// DRV streams built since process start (first held query between
+    /// `drv_min` and `drv_max` on a die).
+    pub drv_streams_built: u64,
+    /// Decay streams built since process start (first query with
+    /// positive stress on a die that is not certainly lost).
+    pub decay_streams_built: u64,
 }
 
 /// Snapshot of [`PlaneCacheStats`] — see its docs for why this is an
 /// out-of-band API rather than telemetry counters.
 pub fn plane_cache_stats() -> PlaneCacheStats {
-    let cache = PLANE_CACHE.lock().expect("plane cache poisoned");
+    let cache = lock_cache();
     PlaneCacheStats {
         entries: cache.entries.len(),
         cells: cache.entries.iter().map(|e| key_cells(&e.key)).sum(),
@@ -657,6 +792,9 @@ pub fn plane_cache_stats() -> PlaneCacheStats {
             .sum(),
         plane_evictions: PLANE_EVICTIONS.load(Ordering::Relaxed),
         baseline_evictions: BASELINE_EVICTIONS.load(Ordering::Relaxed),
+        powerup_streams_built: POWERUP_BUILDS.load(Ordering::Relaxed),
+        drv_streams_built: DRV_BUILDS.load(Ordering::Relaxed),
+        decay_streams_built: DECAY_BUILDS.load(Ordering::Relaxed),
     }
 }
 
@@ -685,63 +823,67 @@ pub(crate) fn can_batch(dist: &CellDistribution, event: OffEvent, stress: f64) -
     grid_ok && event_ok && !stress.is_nan()
 }
 
-/// One power-cycle resolution query, pre-bucketized against the die's
-/// quantizer grids.
+/// One power-cycle resolution query, bucketized against the streams it
+/// consults — and only those. Construction decides from population
+/// bounds which streams a query needs, and builds a needed stream on
+/// its first use; a certainly-lost or certainly-retained query reads
+/// neither bucket stream.
 struct Query<'a> {
-    seed: u64,
-    dist: &'a CellDistribution,
+    planes: &'a DiePlanes,
     /// Hoisted cell-independent half of the per-event RNG word
     /// ([`crate::rng::event_base`]) — the power-up sampler finishes it
     /// with one `event_word_at` per lost metastable cell.
     ev_base: u64,
-    /// `stress <= 0`: every cell is within its decay budget.
-    all_decay_ok: bool,
-    stress: f64,
-    stress_q: u16,
-    /// `None` for an unpowered rail (no DRV check); otherwise the held
-    /// threshold `min(steady, transient)` and its bucket.
-    hold: Option<HoldQuery>,
+    /// No cell retains: the hold dips below `drv_min`, or the stress
+    /// exceeds every possible decay budget (see [`Z_BOUND`]).
+    all_lost: bool,
+    /// The decay compare; `None` when `stress <= 0` (every cell is
+    /// within its budget) or the query is `all_lost`.
+    decay: Option<DecayQuery<'a>>,
+    /// The DRV compare; `None` for an unpowered rail (no DRV check), a
+    /// hold at or above `drv_max` (every cell passes), or `all_lost`.
+    drv: Option<DrvQuery<'a>>,
 }
 
-#[derive(Clone, Copy)]
-struct HoldQuery {
+struct DecayQuery<'a> {
+    rows: &'a TileRows<DECAY_BITS>,
+    stress: f64,
+    stress_q: u16,
+}
+
+struct DrvQuery<'a> {
+    rows: &'a TileRows<DRV_BITS>,
+    /// The held threshold `min(steady, transient)`.
     vmin: f64,
     vmin_q: u16,
-    /// `vmin >= drv_max`: every cell retains at this hold level.
-    all_pass: bool,
-    /// `vmin < drv_min`: no cell retains at this hold level.
-    none_pass: bool,
 }
 
 impl<'a> Query<'a> {
-    fn new(
-        seed: u64,
-        dist: &'a CellDistribution,
-        event: OffEvent,
-        stress: f64,
-        event_id: u64,
-        planes: &DiePlanes,
-    ) -> Self {
-        let hold = match event {
+    fn new(planes: &'a DiePlanes, event: OffEvent, stress: f64, event_id: u64) -> Self {
+        let dist = &planes.dist;
+        let vmin = match event {
             OffEvent::Unpowered => None,
             OffEvent::Held { voltage, transient_min_voltage } => {
-                let vmin = voltage.min(transient_min_voltage);
-                Some(HoldQuery {
-                    vmin,
-                    vmin_q: DrvGrid::new(dist).bucket(vmin),
-                    all_pass: vmin >= dist.drv_max,
-                    none_pass: vmin < dist.drv_min,
-                })
+                Some(voltage.min(transient_min_voltage))
             }
         };
+        let all_lost = vmin.is_some_and(|v| v < dist.drv_min)
+            || stress > (dist.decay_sigma.abs() * Z_BOUND).exp();
+        let drv = vmin.filter(|&v| !all_lost && v < dist.drv_max).map(|vmin| DrvQuery {
+            rows: planes.drv().0,
+            vmin,
+            vmin_q: DrvGrid::new(dist).bucket(vmin),
+        });
+        let decay = (!all_lost && stress > 0.0).then(|| {
+            let d = planes.decay().0;
+            DecayQuery { rows: &d.rows, stress, stress_q: d.cuts.bucket(stress) }
+        });
         Query {
-            seed,
-            dist,
-            ev_base: crate::rng::event_base(seed, event_id),
-            all_decay_ok: stress <= 0.0,
-            stress,
-            stress_q: planes.decay_cuts.bucket(stress),
-            hold,
+            planes,
+            ev_base: crate::rng::event_base(planes.seed, event_id),
+            all_lost,
+            decay,
+            drv,
         }
     }
 }
@@ -792,29 +934,27 @@ fn cmp_grid<const N: usize, const BITS: usize>(
 /// lets the rep-delta path ([`crate::delta`]) precompute it once per
 /// `(die, condition)` and reuse it for every rep of a sweep.
 #[inline(always)]
-fn keep_chunk<const N: usize>(
-    word0: usize,
-    planes: &DiePlanes,
-    q: &Query<'_>,
-) -> ([u64; N], [u64; N]) {
-    let tile = planes.tile(word0 / TILE_WORDS);
-    let j = word0 % TILE_WORDS;
+fn keep_chunk<const N: usize>(word0: usize, q: &Query<'_>) -> ([u64; N], [u64; N]) {
+    let (planes, t, j) = (q.planes, word0 / TILE_WORDS, word0 % TILE_WORDS);
     let valid: [u64; N] = std::array::from_fn(|i| valid_mask(planes.bits, word0 + i));
+    if q.all_lost {
+        return ([0; N], valid);
+    }
 
     // Decay check: stress <= budget. Strict bucket inequality decides;
     // boundary cells (bucket == stress bucket) re-derive exactly. The
     // `eq` mask must shed padding cells (their all-zero planes collide
     // with bucket-0 queries) before the fallback loop.
     let mut keep = valid;
-    if !q.all_decay_ok {
-        let (gt, eq) = cmp_grid::<N, DECAY_BITS>(&tile[DECAY_ROW0 * TILE_WORDS..], j, q.stress_q);
+    if let Some(d) = &q.decay {
+        let (gt, eq) = cmp_grid::<N, DECAY_BITS>(d.rows.tile(t), j, d.stress_q);
         for i in 0..N {
             let mut ok = gt[i];
             let mut boundary = eq[i] & valid[i];
             while boundary != 0 {
                 let b = boundary.trailing_zeros() as usize;
-                let budget = derive_decay_budget(q.seed, (word0 + i) * 64 + b, q.dist);
-                if q.stress <= budget {
+                let budget = derive_decay_budget(planes.seed, (word0 + i) * 64 + b, &planes.dist);
+                if d.stress <= budget {
                     ok |= 1 << b;
                 } else {
                     ok &= !(1u64 << b);
@@ -828,24 +968,19 @@ fn keep_chunk<const N: usize>(
     // DRV check: min(hold voltage, transient minimum) >= drv, i.e. the
     // cell's bucket below the query's retains, above loses, equal
     // re-derives. Only cells that passed the decay check fall back.
-    match q.hold {
-        None => {}
-        Some(h) if h.all_pass => {}
-        Some(h) if h.none_pass => keep = [0; N],
-        Some(h) => {
-            let (gt, eq) = cmp_grid::<N, DRV_BITS>(&tile[DRV_ROW0 * TILE_WORDS..], j, h.vmin_q);
-            for i in 0..N {
-                let mut drv_ok = valid[i] & !gt[i] & !eq[i];
-                let mut boundary = eq[i] & keep[i];
-                while boundary != 0 {
-                    let b = boundary.trailing_zeros() as usize;
-                    if h.vmin >= derive_drv(q.seed, (word0 + i) * 64 + b, q.dist) {
-                        drv_ok |= 1 << b;
-                    }
-                    boundary &= boundary - 1;
+    if let Some(h) = &q.drv {
+        let (gt, eq) = cmp_grid::<N, DRV_BITS>(h.rows.tile(t), j, h.vmin_q);
+        for i in 0..N {
+            let mut drv_ok = valid[i] & !gt[i] & !eq[i];
+            let mut boundary = eq[i] & keep[i];
+            while boundary != 0 {
+                let b = boundary.trailing_zeros() as usize;
+                if h.vmin >= derive_drv(planes.seed, (word0 + i) * 64 + b, &planes.dist) {
+                    drv_ok |= 1 << b;
                 }
-                keep[i] &= drv_ok;
+                boundary &= boundary - 1;
             }
+            keep[i] &= drv_ok;
         }
     }
     (keep, valid)
@@ -861,14 +996,9 @@ fn keep_chunk<const N: usize>(
 /// `N = 1` is the word oracle the wide path is tested against and the
 /// remainder path at array edges.
 #[inline]
-fn resolve_chunk<const N: usize>(
-    data: &mut [u64; N],
-    word0: usize,
-    planes: &DiePlanes,
-    q: &Query<'_>,
-) -> u32 {
-    let (keep, valid) = keep_chunk::<N>(word0, planes, q);
-    let tile = planes.tile(word0 / TILE_WORDS);
+fn resolve_chunk<const N: usize>(data: &mut [u64; N], word0: usize, q: &Query<'_>) -> u32 {
+    let (keep, valid) = keep_chunk::<N>(word0, q);
+    let tile = q.planes.powerup.rows.tile(word0 / TILE_WORDS);
     let j = word0 % TILE_WORDS;
     let mut retained = 0u32;
     for i in 0..N {
@@ -877,46 +1007,28 @@ fn resolve_chunk<const N: usize>(
         if lost != 0 {
             let strong1 = tile[STRONG1_ROW * TILE_WORDS + j + i];
             let metastable = tile[META_ROW * TILE_WORDS + j + i];
-            let value = powerup_word(
-                lost,
-                word0 + i,
-                strong1,
-                metastable,
-                planes,
-                q.seed,
-                q.dist,
-                q.ev_base,
-            );
+            let value = powerup_word(lost, word0 + i, strong1, metastable, q.planes, q.ev_base);
             data[i] = (data[i] & !lost) | value;
         }
     }
     retained
 }
 
-/// Samples power-up values for the cells of `mask` within `word`:
-/// strong-1 cells read 1, strong-0 cells read 0, metastable cells are
-/// re-sampled per power-on event. The per-event RNG draw is inherently
-/// per-cell; everything around it is mask algebra.
-///
-/// The per-cell draw is integer-only on the common path: the uniform
-/// sample's probability bucket is the random word's top byte (see
-/// [`prob_bucket`] for why that identity is exact), so the f64
-/// conversion and the exact bias derivation run only on the ~1/256
-/// bucket ties. `ev_base` is the hoisted [`crate::rng::event_base`] of
-/// the power-on event.
+/// Samples power-up values for the cells of `mask` within absolute word
+/// `word`, given the word's strong-1 and metastable masks: strong-1
+/// cells read 1, strong-0 cells read 0, metastable cells are re-sampled
+/// per power-on event. The per-event RNG draw is inherently per-cell;
+/// everything around it is mask algebra.
 #[inline]
-#[allow(clippy::too_many_arguments)]
 fn powerup_word(
     mask: u64,
     word: usize,
     strong1: u64,
     metastable: u64,
     planes: &DiePlanes,
-    seed: u64,
-    dist: &CellDistribution,
     ev_base: u64,
 ) -> u64 {
-    (strong1 & mask) | sample_meta_word(metastable & mask, word, planes, seed, dist, ev_base)
+    (strong1 & mask) | sample_meta_word(metastable & mask, word, planes, ev_base)
 }
 
 /// Samples fresh per-event values for the metastable cells of `meta`
@@ -925,15 +1037,15 @@ fn powerup_word(
 /// draws are identical to the dense path's *by construction*: both
 /// finish the same hoisted `ev_base` with one
 /// [`event_word_at`] keyed on the absolute cell index.
+///
+/// The per-cell draw is integer-only on the common path: the uniform
+/// sample's probability bucket is the random word's top byte (see
+/// [`prob_bucket`] for why that identity is exact), so the f64
+/// conversion and the exact bias derivation run only on the ~1/256
+/// bucket ties. `ev_base` is the hoisted [`crate::rng::event_base`] of
+/// the power-on event.
 #[inline(always)]
-pub(crate) fn sample_meta_word(
-    meta: u64,
-    word: usize,
-    planes: &DiePlanes,
-    seed: u64,
-    dist: &CellDistribution,
-    ev_base: u64,
-) -> u64 {
+pub(crate) fn sample_meta_word(meta: u64, word: usize, planes: &DiePlanes, ev_base: u64) -> u64 {
     let mut value = 0u64;
     let mut meta = meta;
     while meta != 0 {
@@ -941,11 +1053,15 @@ pub(crate) fn sample_meta_word(
         let cell = word * 64 + b;
         let w = event_word_at(ev_base, cell);
         let uq = (w >> 56) as u8;
-        let bq = planes.bias_q[cell];
+        let bq = planes.powerup.bias_q[cell];
         // The sample outcome is a coin flip — set the bit branchlessly
         // so it never costs a misprediction. Only the tie test branches,
         // and it is taken ~1/256 of the time.
-        let one = if uq != bq { uq < bq } else { unit_f64(w) < derive_powerup(seed, cell, dist).1 };
+        let one = if uq != bq {
+            uq < bq
+        } else {
+            unit_f64(w) < derive_powerup(planes.seed, cell, &planes.dist).1
+        };
         value |= u64::from(one) << b;
         meta &= meta - 1;
     }
@@ -959,18 +1075,15 @@ pub(crate) fn sample_meta_word(
 /// `wide` selects the 4-word (256-bit) lane kernel; `false` forces the
 /// single-word oracle everywhere
 /// ([`ResolutionMode::BatchedWord`](crate::ResolutionMode::BatchedWord)).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn resolve(
     data: &mut PackedBits,
     planes: &DiePlanes,
-    seed: u64,
-    dist: &CellDistribution,
     event: OffEvent,
     stress: f64,
     event_id: u64,
     wide: bool,
 ) -> usize {
-    let q = Query::new(seed, dist, event, stress, event_id, planes);
+    let q = Query::new(planes, event, stress, event_id);
     run_words(data, planes.bits(), |words, word_base| {
         let mut retained = 0usize;
         let mut k = 0usize;
@@ -979,11 +1092,11 @@ pub(crate) fn resolve(
             let tile_left = TILE_WORDS - word % TILE_WORDS;
             if wide && words.len() - k >= 4 && tile_left >= 4 {
                 let chunk: &mut [u64; 4] = (&mut words[k..k + 4]).try_into().expect("4-word chunk");
-                retained += resolve_chunk::<4>(chunk, word, planes, &q) as usize;
+                retained += resolve_chunk::<4>(chunk, word, &q) as usize;
                 k += 4;
             } else {
                 let chunk: &mut [u64; 1] = (&mut words[k..k + 1]).try_into().expect("1-word chunk");
-                retained += resolve_chunk::<1>(chunk, word, planes, &q) as usize;
+                retained += resolve_chunk::<1>(chunk, word, &q) as usize;
                 k += 1;
             }
         }
@@ -1008,14 +1121,8 @@ fn note_hot_word(
     *retained += keep.count_ones() as usize;
     let lost = valid & !keep;
     if lost != 0 {
-        let tile = planes.tile(word / TILE_WORDS);
-        let j = word % TILE_WORDS;
-        hot.extend_from_slice(&[
-            word as u64,
-            keep | !valid,
-            tile[STRONG1_ROW * TILE_WORDS + j] & lost,
-            tile[META_ROW * TILE_WORDS + j] & lost,
-        ]);
+        let (strong1, metastable) = planes.powerup_masks(word);
+        hot.extend_from_slice(&[word as u64, keep | !valid, strong1 & lost, metastable & lost]);
     }
 }
 
@@ -1026,14 +1133,12 @@ fn note_hot_word(
 /// condition and is therefore never re-counted per rep.
 pub(crate) fn build_baseline(
     planes: &Arc<DiePlanes>,
-    seed: u64,
-    dist: &CellDistribution,
     event: OffEvent,
     stress: f64,
 ) -> crate::delta::Baseline {
     // The event id only feeds `ev_base`, which the keep scan never
     // reads; 0 is as good as any.
-    let q = Query::new(seed, dist, event, stress, 0, planes);
+    let q = Query::new(planes, event, stress, 0);
     let bits = planes.bits();
     let words = bits.div_ceil(64);
     let scan = |w0: usize, w1: usize| -> (Vec<u64>, usize) {
@@ -1043,13 +1148,13 @@ pub(crate) fn build_baseline(
         while k < w1 {
             let tile_left = TILE_WORDS - k % TILE_WORDS;
             if w1 - k >= 4 && tile_left >= 4 {
-                let (keep, valid) = keep_chunk::<4>(k, planes, &q);
+                let (keep, valid) = keep_chunk::<4>(k, &q);
                 for i in 0..4 {
                     note_hot_word(&mut hot, &mut retained, planes, k + i, keep[i], valid[i]);
                 }
                 k += 4;
             } else {
-                let (keep, valid) = keep_chunk::<1>(k, planes, &q);
+                let (keep, valid) = keep_chunk::<1>(k, &q);
                 note_hot_word(&mut hot, &mut retained, planes, k, keep[0], valid[0]);
                 k += 1;
             }
@@ -1082,29 +1187,21 @@ pub(crate) fn build_baseline(
         }
         (hot, retained)
     };
-    crate::delta::Baseline::new(planes.clone(), seed, *dist, hot, retained)
+    crate::delta::Baseline::new(planes.clone(), hot, retained)
 }
 
 /// Samples a fresh power-up state for every cell (the first power-on and
-/// the certainly-lost fast path). Bit-exact with per-cell
+/// the certainly-lost fast path) — the power-up stream alone. Bit-exact
+/// with per-cell
 /// [`CellParams::sample_powerup_only`](crate::CellParams::sample_powerup_only).
-pub(crate) fn sample_all(
-    data: &mut PackedBits,
-    planes: &DiePlanes,
-    seed: u64,
-    dist: &CellDistribution,
-    event_id: u64,
-) {
-    let ev_base = crate::rng::event_base(seed, event_id);
+pub(crate) fn sample_all(data: &mut PackedBits, planes: &DiePlanes, event_id: u64) {
+    let ev_base = crate::rng::event_base(planes.seed, event_id);
     run_words(data, planes.bits(), |words, word_base| {
         for (k, w) in words.iter_mut().enumerate() {
             let word = word_base + k;
+            let (strong1, metastable) = planes.powerup_masks(word);
             let valid = valid_mask(planes.bits(), word);
-            let tile = planes.tile(word / TILE_WORDS);
-            let j = word % TILE_WORDS;
-            let strong1 = tile[STRONG1_ROW * TILE_WORDS + j];
-            let metastable = tile[META_ROW * TILE_WORDS + j];
-            *w = powerup_word(valid, word, strong1, metastable, planes, seed, dist, ev_base);
+            *w = powerup_word(valid, word, strong1, metastable, planes, ev_base);
         }
         0usize
     });
@@ -1347,6 +1444,207 @@ mod tests {
             }
         });
         clear_plane_cache();
+    }
+
+    /// The eager oracle: every stream derived up front in one pass that
+    /// derives all three quantities per cell and scatters them bit by
+    /// bit into the rows — the pre-split build, unsharded. Independent
+    /// of `build_powerup`/`build_buckets`/`shard_tiles`, so stream
+    /// contents and resolve outputs can be held against it.
+    fn eager_planes(seed: u64, bits: usize, dist: &CellDistribution) -> DiePlanes {
+        let tiles = n_tiles(bits);
+        let mut powerup = vec![0u64; tiles * POWERUP_ROWS * TILE_WORDS];
+        let mut bias_q = vec![0u8; tiles * TILE_CELLS];
+        let mut drv = vec![0u64; tiles * DRV_BITS * TILE_WORDS];
+        let mut decay = vec![0u64; tiles * DECAY_BITS * TILE_WORDS];
+        let (grid, cuts) = (DrvGrid::new(dist), DecayCuts::new(dist.decay_sigma));
+        for (cell, bias_q) in bias_q[..bits].iter_mut().enumerate() {
+            let (t, j, b) = (cell / TILE_CELLS, cell / 64 % TILE_WORDS, cell % 64);
+            let (kind, bias) = derive_powerup(seed, cell, dist);
+            let row = match kind {
+                PowerUpKind::Strong0 => None,
+                PowerUpKind::Strong1 => Some(STRONG1_ROW),
+                PowerUpKind::Metastable => Some(META_ROW),
+            };
+            if let Some(r) = row {
+                powerup[(t * POWERUP_ROWS + r) * TILE_WORDS + j] |= 1 << b;
+            }
+            *bias_q = prob_bucket(bias);
+            let vq = grid.bucket(derive_drv(seed, cell, dist));
+            for r in 0..DRV_BITS {
+                drv[(t * DRV_BITS + r) * TILE_WORDS + j] |=
+                    u64::from((vq >> (DRV_BITS - 1 - r)) & 1) << b;
+            }
+            let dq = cuts.bucket(derive_decay_budget(seed, cell, dist));
+            for r in 0..DECAY_BITS {
+                decay[(t * DECAY_BITS + r) * TILE_WORDS + j] |=
+                    u64::from((dq >> (DECAY_BITS - 1 - r)) & 1) << b;
+            }
+        }
+        DiePlanes {
+            seed,
+            bits,
+            dist: *dist,
+            powerup: PowerUpStream { rows: TileRows { words: powerup }, bias_q },
+            drv: OnceLock::from(TileRows { words: drv }),
+            decay: OnceLock::from(DecayStream { rows: TileRows { words: decay }, cuts }),
+        }
+    }
+
+    /// Whether the DRV and decay streams of `planes` have been built.
+    fn built(planes: &DiePlanes) -> (bool, bool) {
+        (planes.drv.get().is_some(), planes.decay.get().is_some())
+    }
+
+    fn assert_streams_match_eager(seed: u64, bits: usize, dist: &CellDistribution) {
+        let lazy = DiePlanes::build(seed, bits, dist);
+        let eager = eager_planes(seed, bits, dist);
+        assert_eq!(built(&lazy), (false, false), "a fresh die derives only its power-up stream");
+        assert!(lazy.powerup.rows.words == eager.powerup.rows.words, "{bits}: power-up rows");
+        assert!(lazy.powerup.bias_q == eager.powerup.bias_q, "{bits}: bias plane");
+        assert!(lazy.drv().0.words == eager.drv().0.words, "{bits}: DRV rows");
+        assert!(lazy.decay().0.rows.words == eager.decay().0.rows.words, "{bits}: decay rows");
+        assert!(lazy.decay().0.cuts.cuts == eager.decay().0.cuts.cuts, "{bits}: cut table");
+    }
+
+    #[test]
+    fn lazy_streams_match_the_eager_oracle() {
+        let dist = CellDistribution::calibrated();
+        for bits in [0usize, 1, 63, 64, 65, 4095, 4096, 4097, 3 * TILE_CELLS + 130] {
+            assert_streams_match_eager(0x1A2E ^ bits as u64, bits, &dist);
+        }
+        // Large enough to shard the build across threads (uneven last
+        // shard, ragged last word).
+        par::with_budget(3, || assert_streams_match_eager(0x5AAD, PAR_MIN_BITS + 4097 + 65, &dist));
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        /// Held at or above `drv_max`: every cell passes the DRV check.
+        HeldAbove(f64),
+        /// Held with a droop strictly between `drv_min` and `drv_max`.
+        HeldDroop(f64),
+        /// Held below `drv_min`: every cell is lost.
+        HeldBelow(f64),
+        /// Unpowered with the given (positive) stress.
+        Unpowered(f64),
+        /// Unpowered with stress beyond every possible budget.
+        UnpoweredHuge,
+    }
+
+    impl Step {
+        /// Step `kind` (0..5, in declaration order) at position `x` in
+        /// `[0, 1)` of its voltage or stress range.
+        fn new(kind: usize, x: f64, dist: &CellDistribution) -> Self {
+            let (lo, hi) = (dist.drv_min, dist.drv_max);
+            match kind {
+                0 => Step::HeldAbove(hi + 0.3 * x),
+                1 => Step::HeldDroop(lo + (0.001 + 0.998 * x) * (hi - lo)),
+                2 => Step::HeldBelow(lo * x - 1e-3),
+                3 => Step::Unpowered(0.01 + 3.0 * x),
+                _ => Step::UnpoweredHuge,
+            }
+        }
+
+        fn query(self, dist: &CellDistribution) -> (OffEvent, f64) {
+            match self {
+                Step::HeldAbove(v) | Step::HeldDroop(v) | Step::HeldBelow(v) => {
+                    (OffEvent::held_with_droop(dist.drv_max + 0.2, v), 0.0)
+                }
+                Step::Unpowered(stress) => (OffEvent::Unpowered, stress),
+                Step::UnpoweredHuge => (OffEvent::Unpowered, f64::INFINITY),
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(24))]
+
+        /// Lazy planes resolve every query bit-identically to the eager
+        /// oracle, at both lane widths and through the baseline scan,
+        /// and build a bucket stream only when a query consults it.
+        #[test]
+        fn lazy_planes_resolve_like_eager(
+            seed in proptest::prelude::any::<u64>(),
+            bits in 1usize..(3 * TILE_CELLS + 200),
+            metastable in 0.0f64..0.8,
+            decay_sigma in 0.05f64..1.2,
+            fill in proptest::prelude::any::<u64>(),
+            picks in proptest::collection::vec((0usize..5, 0.0f64..1.0), 1..6),
+        ) {
+            let dist = CellDistribution {
+                metastable_fraction: metastable,
+                decay_sigma,
+                ..CellDistribution::calibrated()
+            };
+            let lazy = Arc::new(DiePlanes::build(seed, bits, &dist));
+            let eager = Arc::new(eager_planes(seed, bits, &dist));
+            let mut start = PackedBits::zeros(bits);
+            for (w, word) in start.words_mut().iter_mut().enumerate() {
+                *word = crate::rng::mix64(fill ^ w as u64) & valid_mask(bits, w);
+            }
+            let (mut need_drv, mut need_decay) = (false, false);
+            for (event_id, (kind, x)) in picks.into_iter().enumerate() {
+                let step = Step::new(kind, x, &dist);
+                need_drv |= matches!(step, Step::HeldDroop(_));
+                need_decay |= matches!(step, Step::Unpowered(_));
+                let (event, stress) = step.query(&dist);
+                let mut want = start.clone();
+                let r_want = resolve(&mut want, &eager, event, stress, event_id as u64, true);
+                for wide in [true, false] {
+                    let mut got = start.clone();
+                    let r_got = resolve(&mut got, &lazy, event, stress, event_id as u64, wide);
+                    proptest::prop_assert_eq!(r_got, r_want, "{:?} wide={}", step, wide);
+                    proptest::prop_assert!(got == want, "{:?} wide={}: images differ", step, wide);
+                }
+                let b_lazy = build_baseline(&lazy, event, stress);
+                let b_eager = build_baseline(&eager, event, stress);
+                proptest::prop_assert_eq!(b_lazy.hot_words(), b_eager.hot_words());
+                proptest::prop_assert_eq!(built(&lazy), (need_drv, need_decay), "after {:?}", step);
+            }
+        }
+    }
+
+    #[test]
+    fn first_stream_requests_build_exactly_once() {
+        // A private instance, so no sibling test's cache clear can race
+        // the count: four threads ask for each lazy stream at once and
+        // exactly one of them derives it.
+        let planes = Arc::new(DiePlanes::build(0xB0B, 100_000, &CellDistribution::calibrated()));
+        let barrier = std::sync::Barrier::new(4);
+        let builds: Vec<(bool, bool)> = std::thread::scope(|s| {
+            (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        let drv = planes.drv().1;
+                        barrier.wait();
+                        (drv, planes.decay().1)
+                    })
+                })
+                .collect::<Vec<_>>()
+                .into_iter()
+                .map(|h| h.join().expect("stream thread panicked"))
+                .collect()
+        });
+        assert_eq!(builds.iter().filter(|b| b.0).count(), 1, "exactly one DRV build");
+        assert_eq!(builds.iter().filter(|b| b.1).count(), 1, "exactly one decay build");
+    }
+
+    #[test]
+    fn poisoned_cache_lock_is_recovered() {
+        let poisoned = std::panic::catch_unwind(|| {
+            let _guard = lock_cache();
+            panic!("poison the plane cache lock");
+        });
+        assert!(poisoned.is_err());
+        assert!(PLANE_CACHE.is_poisoned());
+        let dist = CellDistribution::calibrated();
+        let (planes, _) = planes_for(0x9015, 4096, &dist);
+        assert_eq!(planes.bits(), 4096);
+        let _ = plane_cache_stats();
+        clear_plane_cache();
+        PLANE_CACHE.clear_poison();
     }
 
     #[test]

@@ -70,6 +70,18 @@ pub fn publish_fleet_metrics() {
         &[],
     )
     .set(plane.baseline_evictions as f64);
+    for (stream, built) in [
+        ("powerup", plane.powerup_streams_built),
+        ("drv", plane.drv_streams_built),
+        ("decay", plane.decay_streams_built),
+    ] {
+        reg.gauge(
+            "voltboot_sram_plane_streams_built_total",
+            "Per-cell plane streams derived since process start, by stream.",
+            &[("stream", stream)],
+        )
+        .set(built as f64);
+    }
     let delta = crate::delta::stats();
     reg.gauge(
         "voltboot_sram_delta_reps_total",
@@ -100,5 +112,10 @@ mod tests {
         let rendered = reg.render();
         assert!(rendered.contains("voltboot_sram_plane_cache_entries"));
         assert!(rendered.contains("voltboot_sram_delta_baselines_built_total"));
+        for stream in ["powerup", "drv", "decay"] {
+            let built =
+                reg.gauge_value("voltboot_sram_plane_streams_built_total", &[("stream", stream)]);
+            assert!(built.is_some(), "{stream} stream gauge");
+        }
     }
 }
