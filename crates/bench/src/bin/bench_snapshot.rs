@@ -5,11 +5,11 @@
 //! (a full board power cycle, and a cold power-on of a Pi 4 die never
 //! seen before in the process), then writes the numbers to
 //! `BENCH_sram.json` in the current directory so successive PRs can
-//! compare. The dense metrics (`batched_*`) are measured through
-//! `ResolutionMode::BatchedFull` so they keep pricing the full wide
-//! resolve now that `Batched` is delta-eligible; the rep-delta section
-//! prices the settled sparse apply against that dense cost and gates
-//! the amortization floor. Also times the
+//! compare. The dense metrics (`batched_*`) are measured under a
+//! `PlaneCache::dense()` so they keep pricing the full wide resolve
+//! now that `Batched` is delta-eligible; the rep-delta section prices
+//! the settled sparse apply (on the process-default cache) against
+//! that dense cost and gates the amortization floor. Also times the
 //! telemetry layer — a disabled `Recorder` on the traced power-cycle
 //! path must cost nothing measurable, and histogram recording must
 //! stay cheap enough to live on hot paths — and writes
@@ -33,7 +33,8 @@ use voltboot::telemetry::hist::Histogram;
 use voltboot::telemetry::{metrics, Recorder};
 use voltboot_soc::{devices, PowerCycleSpec};
 use voltboot_sram::{
-    delta, par, plane_cache_stats, ArrayConfig, OffEvent, ResolutionMode, SramArray, Temperature,
+    delta, par, plane_cache_stats, ArrayConfig, OffEvent, PlaneCache, ResolutionMode, SramArray,
+    Temperature,
 };
 
 /// Heap-allocation counter wrapped around the system allocator. Only
@@ -130,16 +131,20 @@ fn main() {
     let t_scalar = time_median(5, || cycle(&mut scalar, ResolutionMode::Scalar));
 
     let mut batched = SramArray::new(ArrayConfig::with_bytes("snap", MIB), 7);
-    // First batched cycle builds the die planes; the timed loop below is
-    // the plane-cache-warm steady state every sweep runs in. Measured
-    // through `BatchedFull` so the metric keeps pricing the dense wide
-    // resolve: the default `Batched` mode now promotes repeated
-    // conditions to the sparse rep-delta path, which is timed (and
-    // gated) separately below.
-    batched.power_on_with(ResolutionMode::BatchedFull).unwrap();
-    cycle(&mut batched, ResolutionMode::BatchedFull);
-    let t_batched = time_median(15, || cycle(&mut batched, ResolutionMode::BatchedFull));
-    let t_batched_min = time_min(15, || cycle(&mut batched, ResolutionMode::BatchedFull));
+    // The first power-on builds the die planes in the default cache,
+    // where the delta legs below find the die; the timed loop is the
+    // plane-cache-warm steady state every sweep runs in. Timed under a
+    // dense cache so the metric keeps pricing the dense wide resolve:
+    // on the default cache `Batched` promotes repeated conditions to
+    // the sparse rep-delta path, which is timed (and gated) separately
+    // below.
+    let dense = PlaneCache::dense();
+    batched.power_on().unwrap();
+    let (t_batched, t_batched_min) = dense.enter(|| {
+        cycle(&mut batched, ResolutionMode::Batched);
+        let median = time_median(15, || cycle(&mut batched, ResolutionMode::Batched));
+        (median, time_min(15, || cycle(&mut batched, ResolutionMode::Batched)))
+    });
 
     let mib_per_s = |t: Duration| 1.0 / t.as_secs_f64();
     let batched_gib_per_s = 1.0 / 1024.0 / t_batched_min.as_secs_f64();
@@ -179,23 +184,23 @@ fn main() {
     // This is the regime the delta path exists for; the speedup floor
     // below is the PR's amortization contract.
     let droop = OffEvent::held_with_droop(0.8, 0.44);
-    let droop_cycle = |s: &mut SramArray, mode: ResolutionMode| {
+    let droop_cycle = |s: &mut SramArray| {
         s.power_off(droop).unwrap();
         s.elapse(Duration::from_millis(5), Temperature::from_celsius(25.0));
-        black_box(s.power_on_with(mode).unwrap().retained);
+        black_box(s.power_on().unwrap().retained);
     };
     let hot_before = plane_cache_stats().baseline_hot_words;
     let mut dense_droop = SramArray::new(ArrayConfig::with_bytes("snap-delta", MIB), 7);
     let mut sparse_droop = SramArray::new(ArrayConfig::with_bytes("snap-delta", MIB), 7);
-    dense_droop.power_on_with(ResolutionMode::BatchedFull).unwrap();
-    sparse_droop.power_on_with(ResolutionMode::Batched).unwrap();
+    dense.enter(|| dense_droop.power_on()).unwrap();
+    sparse_droop.power_on().unwrap();
     for _ in 0..3 {
-        droop_cycle(&mut dense_droop, ResolutionMode::BatchedFull);
-        droop_cycle(&mut sparse_droop, ResolutionMode::Batched);
+        dense.enter(|| droop_cycle(&mut dense_droop));
+        droop_cycle(&mut sparse_droop);
     }
     let reps_before = delta::stats().delta_reps;
-    let t_dense_droop = time_min(15, || droop_cycle(&mut dense_droop, ResolutionMode::BatchedFull));
-    let t_delta = time_min(15, || droop_cycle(&mut sparse_droop, ResolutionMode::Batched));
+    let t_dense_droop = dense.enter(|| time_min(15, || droop_cycle(&mut dense_droop)));
+    let t_delta = time_min(15, || droop_cycle(&mut sparse_droop));
     let delta_reps_measured = delta::stats().delta_reps - reps_before;
     let delta_speedup = t_dense_droop.as_secs_f64() / t_delta.as_secs_f64();
     let delta_hot_words = plane_cache_stats().baseline_hot_words - hot_before;

@@ -65,8 +65,7 @@
 //! is the companion gate for the rep-delta resolution path: the same
 //! fixed-seed sweep runs once with the sparse path forced off and once
 //! with it on (same seeds, fault injection live), and the reports *and*
-//! every trace export must byte-match — `VOLTBOOT_NO_DELTA=1` remains
-//! the runtime escape hatch for bisecting a suspected delta bug.
+//! every trace export must byte-match.
 
 use std::path::{Path, PathBuf};
 use voltboot::attack::VoltBootAttack;
@@ -466,20 +465,16 @@ fn smoke(threads: usize) -> i32 {
 /// everything and takes the certainly-retained shortcut past batch
 /// resolution, while the droop's partial corruption forces a real
 /// resolve of the same `(die, treatment)` key every rep. Runs under
-/// `--threads` so per-worker baseline leases are in play.
-/// `VOLTBOOT_NO_DELTA` being set skips the gate — that env var exists
-/// precisely so a bisection can hold the delta path off.
+/// `--threads` so per-worker baseline leases are in play. Each leg runs
+/// on a fresh plane cache: the dense leg on one without the delta path,
+/// the other two on ones with it.
 ///
 /// A third leg re-runs the sparse sweep with the fleet metrics plane
 /// (`voltboot_telemetry::metrics`) disabled and byte-compares again:
 /// the wall-clock metrics plane must be strictly out-of-band, so
 /// freezing it cannot move the report or any trace export by a byte.
 fn delta_smoke(threads: usize) -> i32 {
-    use voltboot_sram::{clear_plane_cache, delta};
-    if !delta::enabled() {
-        println!("delta smoke skipped: VOLTBOOT_NO_DELTA holds the rep-delta path off");
-        return 0;
-    }
+    use voltboot_sram::PlaneCache;
     let plan = FaultPlan::new(SMOKE_SEEDS.1, FaultRates::uniform(0.2));
     let attack =
         VoltBootAttack::new("TP15").passes(3).probe(voltboot_pdn::Probe::weak_source(0.0, 0.2));
@@ -488,15 +483,11 @@ fn delta_smoke(threads: usize) -> i32 {
     let fixed_die = victim(SMOKE_SEEDS.0);
     let fixed_victim = |_rep: u64| fixed_die(0);
 
-    delta::force_disable(true);
-    clear_plane_cache();
-    let dense = campaign.run_parallel(threads, fixed_victim);
+    let dense = PlaneCache::dense().enter(|| campaign.run_parallel(threads, fixed_victim));
 
-    delta::force_disable(false);
-    clear_plane_cache();
-    let reps_before = delta::stats().delta_reps;
-    let sparse = campaign.run_parallel(threads, fixed_victim);
-    let delta_reps = delta::stats().delta_reps - reps_before;
+    let cache = PlaneCache::new();
+    let sparse = cache.enter(|| campaign.run_parallel(threads, fixed_victim));
+    let delta_reps = cache.delta_stats().delta_reps;
 
     if sparse.to_json() != dense.to_json() {
         eprintln!(
@@ -532,8 +523,7 @@ fn delta_smoke(threads: usize) -> i32 {
     // DESIGN §18 pins.
     use voltboot::telemetry::metrics;
     metrics::set_enabled(false);
-    clear_plane_cache();
-    let frozen = campaign.run_parallel(threads, fixed_victim);
+    let frozen = PlaneCache::new().enter(|| campaign.run_parallel(threads, fixed_victim));
     metrics::set_enabled(true);
     if frozen.to_json() != sparse.to_json() {
         eprintln!(

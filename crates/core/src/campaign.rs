@@ -39,7 +39,8 @@
 //! misordered sequencing) perturb the off-rail treatment, miss the
 //! baseline key, and fall back to the dense path — so reports,
 //! checkpoints, and shard merges stay byte-identical whether the sparse
-//! path ran or not (`VOLTBOOT_NO_DELTA=1` forces it off to bisect).
+//! path ran or not. Workers resolve under the caller's
+//! [`PlaneCache`](voltboot_sram::PlaneCache).
 
 use crate::attack::{AttackContext, VoltBootAttack};
 use crate::fault::FaultPlan;
@@ -49,7 +50,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use voltboot_soc::Soc;
-use voltboot_sram::par;
+use voltboot_sram::{par, PlaneCache};
 use voltboot_telemetry::{json, parse, Progress, Recorder};
 
 /// Retry behaviour for failed attack attempts within one repetition.
@@ -1148,6 +1149,9 @@ impl Campaign {
         // pool: each worker's inner fan-out gets an equal slice of the
         // machine instead of multiplying it.
         let inner_budget = (par::thread_count() / workers).max(1);
+        // Workers resolve under the caller's plane cache, not the
+        // process default.
+        let cache = PlaneCache::current();
         let next = AtomicU64::new(start);
         let state = Mutex::new(MergeState { ready: BTreeMap::new(), live_workers: workers });
         let merged_one = Condvar::new();
@@ -1169,8 +1173,10 @@ impl Campaign {
                             break;
                         }
                         let sub = rec.fork();
-                        let record = par::with_budget(inner_budget, || {
-                            self.run_rep_contained(rep, &sub, &mut |r| victim(r))
+                        let record = cache.enter(|| {
+                            par::with_budget(inner_budget, || {
+                                self.run_rep_contained(rep, &sub, &mut |r| victim(r))
+                            })
                         });
                         let mut st = state.lock().unwrap_or_else(PoisonError::into_inner);
                         st.ready.insert(rep, (record, sub));

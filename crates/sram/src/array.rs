@@ -131,23 +131,13 @@ pub enum ResolutionMode {
     /// Per-bit reference path: derive every cell's parameters and decide
     /// retention one bit at a time.
     Scalar,
-    /// Bit-sliced path at full lane width: resolve four words (256
-    /// cells) per kernel step against the memoized die planes, sharded
-    /// across threads for large arrays. Eligible for the rep-delta
-    /// sparse path ([`crate::delta`]): once a `(die, condition)` pair
-    /// has settled a baseline, later reps rewrite only hot words —
+    /// Bit-sliced path: resolve four words (256 cells) per kernel step
+    /// against the memoized die planes, sharded across threads for
+    /// large arrays. Under a [`PlaneCache`](crate::PlaneCache) with the
+    /// rep-delta path ([`crate::delta`]), once a `(die, condition)`
+    /// pair has settled a baseline, later reps rewrite only hot words —
     /// byte-identical output, a fraction of the cost.
     Batched,
-    /// The bit-sliced path restricted to single-word (64-cell) kernels —
-    /// the lane-width oracle [`Batched`](ResolutionMode::Batched) is
-    /// tested against, exercising the same planes and fallbacks through
-    /// the narrow code path.
-    BatchedWord,
-    /// [`Batched`](ResolutionMode::Batched) with the rep-delta path
-    /// disabled: always the full-width dense scan. The oracle the delta
-    /// path is tested against, and the mode benches use to price the
-    /// dense rep a sweep would otherwise pay.
-    BatchedFull,
 }
 
 /// Summary of what a power cycle did to the array's contents.
@@ -272,18 +262,18 @@ impl SramArray {
     }
 
     /// Returns the die planes for this array, deriving (or fetching from
-    /// the global per-die cache) on first use. The seed, size, and
-    /// distribution are immutable after construction, so a memoized
-    /// plane set never goes stale. Records where the planes came from
-    /// (only counters — commutative, so parallel array power-ons stay
-    /// deterministic).
+    /// the current [`PlaneCache`](crate::PlaneCache)) on first use. The
+    /// seed, size, and distribution are immutable after construction,
+    /// so a memoized plane set never goes stale. Records where the
+    /// planes came from (only counters — commutative, so parallel array
+    /// power-ons stay deterministic).
     fn planes(&mut self, rec: &Recorder) -> Arc<engine::DiePlanes> {
         if let Some(p) = &self.planes {
             rec.incr("sram.planes.memoized", 1);
             return p.clone();
         }
-        let (p, cached) =
-            engine::planes_for(self.seed, self.config.bits, &self.config.distribution);
+        let (bits, dist) = (self.config.bits, &self.config.distribution);
+        let (p, cached) = crate::PlaneCache::current().planes_for(self.seed, bits, dist);
         rec.incr(if cached { "sram.planes.cache_hits" } else { "sram.planes.built" }, 1);
         self.planes = Some(p.clone());
         p
@@ -368,9 +358,8 @@ impl SramArray {
         let certainly_lost =
             first_power || (matches!(event, OffEvent::Unpowered) && stress > max_plausible_budget);
 
-        let batch = mode != ResolutionMode::Scalar
+        let batch = mode == ResolutionMode::Batched
             && engine::can_batch(&self.config.distribution, event, stress);
-        let wide = matches!(mode, ResolutionMode::Batched | ResolutionMode::BatchedFull);
 
         if certainly_retained {
             retained = self.config.bits;
@@ -388,19 +377,16 @@ impl SramArray {
             }
         } else if batch {
             let planes = self.planes(rec);
-            // The rep-delta sparse path serves `Batched` resolves whose
-            // `(die, condition)` has a settled baseline; everything else
-            // (first sights, evicted dies, `BatchedFull`, the kill
-            // switch) falls through to the dense engine. Either way the
+            // The rep-delta sparse path serves resolves whose `(die,
+            // condition)` has a settled baseline in the current cache;
+            // everything else (first sights, evicted dies, a dense
+            // cache) falls through to the dense engine. Either way the
             // output is byte-identical, so no resolution counter records
             // which path ran — that choice is scheduling-dependent.
-            let via_delta = if mode == ResolutionMode::Batched {
-                crate::delta::resolve_delta(&mut self.data, &planes, event, stress, event_id)
-            } else {
-                None
-            };
+            let via_delta =
+                crate::delta::resolve_delta(&mut self.data, &planes, event, stress, event_id);
             retained = via_delta.unwrap_or_else(|| {
-                engine::resolve(&mut self.data, &planes, event, stress, event_id, wide)
+                engine::resolve(&mut self.data, &planes, event, stress, event_id)
             });
             lost = self.config.bits - retained;
         } else {
@@ -617,6 +603,7 @@ impl SramArray {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn array(bytes: usize) -> SramArray {
         SramArray::new(ArrayConfig::with_bytes("t", bytes), 0xdead_beef)
@@ -862,6 +849,188 @@ mod tests {
         assert_eq!(lost.min(), 0, "a held cycle loses none");
         let stress = rec.histogram("sram.decay_stress_milli").unwrap();
         assert_eq!(stress.count(), 2);
+    }
+
+    /// Powers `s` on through the spec, first resolving the same pending
+    /// cycle through the single-word kernel instantiation and checking
+    /// it agrees — the lane-width oracle the full-width `Batched`
+    /// kernel answers to. The first power-up and queries the kernels
+    /// cannot represent have no kernel resolve to check.
+    fn scalar_power_on_checking_narrow(s: &mut SramArray) -> RetentionReport {
+        let PowerState::Off { event, stress } = s.state else { panic!("already powered") };
+        let narrow = (s.ever_powered && engine::can_batch(&s.config.distribution, event, stress))
+            .then(|| {
+                let (mut data, id) = (s.data.clone(), s.powerup_events);
+                let planes = s.planes(&Recorder::disabled());
+                (engine::tests::resolve_word(&mut data, &planes, event, stress, id), data)
+            });
+        let report = s.power_on_with(ResolutionMode::Scalar).unwrap();
+        if let Some((retained, data)) = narrow {
+            assert_eq!(retained, report.retained, "{event:?}, stress {stress}: retained");
+            assert!(data == s.data, "{event:?}, stress {stress}: narrow vs scalar image");
+        }
+        report
+    }
+
+    /// Runs one die through `cycles` — each fills the array, powers off
+    /// under the event and lets the `(ms, celsius)` intervals pass —
+    /// checking the narrow kernel against the spec on every power-on.
+    fn assert_narrow_matches_scalar(
+        seed: u64,
+        config: &ArrayConfig,
+        fill: u8,
+        cycles: &[(OffEvent, &[(u64, f64)])],
+    ) {
+        let mut s = SramArray::new(config.clone(), seed);
+        scalar_power_on_checking_narrow(&mut s);
+        for (i, (event, intervals)) in cycles.iter().enumerate() {
+            s.fill(fill.wrapping_add(i as u8)).unwrap();
+            s.power_off(*event).unwrap();
+            for &(ms, celsius) in *intervals {
+                s.elapse(Duration::from_millis(ms), Temperature::from_celsius(celsius));
+            }
+            scalar_power_on_checking_narrow(&mut s);
+        }
+    }
+
+    /// Well-formed process distributions well beyond the calibrated
+    /// part, so the quantizer grids run at many bucket widths.
+    fn distributions() -> impl Strategy<Value = CellDistribution> {
+        (0.0f64..0.8, 0.1f64..0.5, 0.001f64..0.12, 0.0f64..0.12, 0.45f64..0.95, 0.05f64..1.2)
+            .prop_map(|(metastable, mean, sigma, min, max, decay)| CellDistribution {
+                metastable_fraction: metastable,
+                drv_mean: mean,
+                drv_sigma: sigma,
+                drv_min: min,
+                drv_max: max,
+                decay_sigma: decay,
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        /// Random dies, distributions, events and stress levels, three
+        /// cycles each.
+        #[test]
+        fn narrow_kernel_matches_scalar_across_distributions(
+            seed in any::<u64>(),
+            bits in 1usize..4096,
+            fill in any::<u8>(),
+            dist in distributions(),
+            event in prop_oneof![
+                Just(OffEvent::unpowered()),
+                (0.0f64..1.0).prop_map(OffEvent::held),
+                (0.0f64..1.0, 0.0f64..1.0).prop_map(|(v, f)| OffEvent::held_with_droop(v, v * f)),
+            ],
+            dt_ms in 0u64..400,
+            celsius in -120.0f64..30.0,
+        ) {
+            let mut config = ArrayConfig::with_bits("narrow-prop", bits);
+            config.distribution = dist;
+            let interval: &[(u64, f64)] = &[(dt_ms, celsius)];
+            assert_narrow_matches_scalar(seed, &config, fill, &[(event, interval); 3]);
+        }
+
+        /// Stress accumulated over two unpowered intervals at varying
+        /// temperatures drives many quantized stress values.
+        #[test]
+        fn narrow_kernel_matches_scalar_under_accumulated_stress(
+            seed in any::<u64>(),
+            bits in 1usize..2048,
+            dt1_ms in 1u64..200,
+            dt2_ms in 1u64..200,
+            c1 in -120.0f64..0.0,
+            c2 in -120.0f64..0.0,
+        ) {
+            let config = ArrayConfig::with_bits("narrow-stress", bits);
+            let intervals: &[(u64, f64)] = &[(dt1_ms, c1), (dt2_ms, c2)];
+            assert_narrow_matches_scalar(seed, &config, 0x6C, &[(OffEvent::unpowered(), intervals)]);
+        }
+
+        /// Random sequences of holds above `drv_max`, droops between
+        /// `drv_min` and `drv_max`, holds below `drv_min`, short cold
+        /// unpowered intervals and certainly-lost long ones.
+        #[test]
+        fn narrow_kernel_matches_scalar_over_event_sequences(
+            seed in any::<u64>(),
+            bits in prop_oneof![1usize..300, 4097usize..12_500, Just(2 * 4096)],
+            dist in distributions(),
+            fill in any::<u8>(),
+            picks in proptest::collection::vec((0usize..5, 0.0f64..1.0), 1..6),
+        ) {
+            let mut config = ArrayConfig::with_bits("narrow-seq", bits);
+            config.distribution = dist;
+            let (lo, hi) = (dist.drv_min, dist.drv_max);
+            let held = |v: f64| OffEvent::held_with_droop(hi + 0.2, v);
+            let cycles: Vec<(OffEvent, Vec<(u64, f64)>)> = picks
+                .iter()
+                .map(|&(kind, x)| match kind {
+                    0 => (held(hi + 0.3 * x), vec![(5, 25.0)]),
+                    1 => (held(lo + (0.001 + 0.998 * x) * (hi - lo)), vec![(5, 25.0)]),
+                    2 => (held(lo * x - 1e-3), vec![(5, 25.0)]),
+                    3 => (OffEvent::unpowered(), vec![(1 + (x * 40.0) as u64, -110.0)]),
+                    _ => (OffEvent::unpowered(), vec![(3_600_000, 60.0)]),
+                })
+                .collect();
+            let cycles: Vec<(OffEvent, &[(u64, f64)])> =
+                cycles.iter().map(|(e, i)| (*e, i.as_slice())).collect();
+            assert_narrow_matches_scalar(seed, &config, fill, &cycles);
+        }
+    }
+
+    /// Ragged tails — mid-word (65), one short of a word boundary (255),
+    /// one past a full 4-word lane (257) — at each event kind.
+    #[test]
+    fn narrow_kernel_matches_scalar_on_tail_lanes() {
+        for bits in [65usize, 255, 257] {
+            for event in
+                [OffEvent::unpowered(), OffEvent::held(0.25), OffEvent::held_with_droop(0.8, 0.3)]
+            {
+                let config = ArrayConfig::with_bits("narrow-tail", bits);
+                let interval: &[(u64, f64)] = &[(25, -110.0)];
+                assert_narrow_matches_scalar(
+                    0x7A11 ^ bits as u64,
+                    &config,
+                    0xA5,
+                    &[(event, interval); 3],
+                );
+            }
+        }
+    }
+
+    /// A tail word under a razor-thin DRV distribution: maximum traffic
+    /// through the bucket-equality fallback on the final partial lane.
+    #[test]
+    fn narrow_kernel_matches_scalar_on_weak_tail_lanes() {
+        let mut config = ArrayConfig::with_bits("narrow-weak", 257);
+        config.distribution = CellDistribution {
+            metastable_fraction: 0.6,
+            drv_mean: 0.30,
+            drv_sigma: 0.002,
+            drv_min: 0.28,
+            drv_max: 0.32,
+            decay_sigma: 0.05,
+        };
+        let event = OffEvent::held_with_droop(0.8, 0.30);
+        let interval: &[(u64, f64)] = &[(10, -60.0)];
+        assert_narrow_matches_scalar(0xBAD_5EED, &config, 0x3C, &[(event, interval); 3]);
+    }
+
+    /// The sharded path: an array past the threading threshold with a
+    /// ragged tail, under a forced multi-thread budget.
+    #[test]
+    fn narrow_kernel_matches_scalar_when_sharded() {
+        let config = ArrayConfig::with_bits("narrow-par", engine::PAR_MIN_BITS + 257);
+        let interval: &[(u64, f64)] = &[(20, -110.0)];
+        crate::par::with_budget(4, || {
+            assert_narrow_matches_scalar(
+                0x9E37,
+                &config,
+                0xC3,
+                &[(OffEvent::unpowered(), interval); 2],
+            );
+        });
     }
 
     #[test]

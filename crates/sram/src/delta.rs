@@ -56,27 +56,28 @@
 //!
 //! # Promotion and leases
 //!
-//! Baselines are only built for conditions seen at least twice
-//! ([`engine::baseline_slot`]): brown-out depths are continuous, so a
-//! faulted rep's condition is usually unique and must not pay a build.
-//! Reps hold baselines through `Arc` leases — eviction and
-//! [`clear_plane_cache`](crate::clear_plane_cache) only forget a
+//! Baselines live next to their die in the current [`PlaneCache`]
+//! (none under a [`PlaneCache::dense`] one), and are only built for
+//! conditions seen at least twice ([`PlaneCache::baseline_slot`]):
+//! brown-out depths are continuous, so a faulted rep's condition is
+//! usually unique and must not pay a build. Reps hold baselines through
+//! `Arc` leases — eviction and [`PlaneCache::clear`] only forget a
 //! baseline, they never invalidate one mid-rep. A thread-local lease
-//! stamped with the cache generation makes the steady state lock-free
-//! and allocation-free.
+//! stamped with its cache and that cache's generation makes the steady
+//! state lock-free and allocation-free.
 //!
-//! Usage counters ([`stats`]) are deliberately out-of-band: whether a
-//! given rep hits the delta path depends on cross-thread scheduling,
-//! and recording that into campaign telemetry would break the
-//! byte-identical-reports guarantee.
+//! Usage counters ([`PlaneCache::delta_stats`]) are deliberately
+//! out-of-band: whether a given rep hits the delta path depends on
+//! cross-thread scheduling, and recording that into campaign telemetry
+//! would break the byte-identical-reports guarantee.
 
 use crate::array::OffEvent;
 use crate::bits::PackedBits;
-use crate::engine::{self, DiePlanes};
+use crate::engine::{self, CacheInner, DiePlanes, PlaneCache};
 use crate::rng;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Weak};
 
 /// Words per hot-list record: absolute word index, keep mask, strong-1
 /// value mask, metastable mask.
@@ -126,57 +127,19 @@ impl Baseline {
     }
 }
 
-/// Process-wide kill switch flipped by [`force_disable`].
-static FORCE_OFF: AtomicBool = AtomicBool::new(false);
-
-/// Reps resolved through the sparse delta path since process start.
-static DELTA_REPS: AtomicU64 = AtomicU64::new(0);
-
-/// Baselines scanned and materialized since process start.
-static BASELINES_BUILT: AtomicU64 = AtomicU64::new(0);
-
-/// `VOLTBOOT_NO_DELTA` escape hatch for bisection: any value other than
-/// empty or `0` disables the delta path for the whole process. Read
-/// once — flipping the variable mid-process has no effect (use
-/// [`force_disable`] for in-process toggling).
-fn env_enabled() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(
-        || !matches!(std::env::var("VOLTBOOT_NO_DELTA"), Ok(v) if !v.is_empty() && v != "0"),
-    )
-}
-
-/// Whether the rep-delta path is currently eligible. `false` routes
-/// every batched resolve through the dense engine (output is
-/// byte-identical either way — only the cost changes).
-pub fn enabled() -> bool {
-    env_enabled() && !FORCE_OFF.load(Ordering::Relaxed)
-}
-
-/// Forces the delta path off (`true`) or back to the default (`false`)
-/// process-wide. The `VOLTBOOT_NO_DELTA` environment hatch wins over
-/// re-enabling. Used by the `delta-smoke` gate to byte-compare
-/// forced-off and forced-on campaign runs in one process.
-pub fn force_disable(off: bool) {
-    FORCE_OFF.store(off, Ordering::Relaxed);
-}
-
 /// Out-of-band usage counters for the delta path — see the
 /// [module docs](self) for why these never enter campaign telemetry.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DeltaStats {
-    /// Reps resolved through the sparse delta path since process start.
+    /// Reps resolved through the sparse delta path.
     pub delta_reps: u64,
-    /// Baselines scanned and materialized since process start.
+    /// Baselines scanned and materialized.
     pub baselines_built: u64,
 }
 
-/// Snapshot of the delta-path usage counters.
+/// Snapshot of the process-default cache's delta-path usage counters.
 pub fn stats() -> DeltaStats {
-    DeltaStats {
-        delta_reps: DELTA_REPS.load(Ordering::Relaxed),
-        baselines_built: BASELINES_BUILT.load(Ordering::Relaxed),
-    }
+    engine::DEFAULT_CACHE.delta_stats()
 }
 
 /// The sweep condition half of a baseline key (the die half is the
@@ -207,10 +170,11 @@ impl BaselineKey {
 }
 
 /// A rep's hold on a baseline: the `Arc` keeps the data alive across
-/// concurrent eviction or [`clear_plane_cache`](crate::clear_plane_cache);
-/// the generation stamp retires the lease at the next rep boundary
-/// after a clear.
+/// concurrent eviction or [`PlaneCache::clear`]; the cache and
+/// generation stamps retire the lease under another cache or after a
+/// clear (the `Weak` keeps the cache's address from being reused).
 struct Lease {
+    cache: Weak<CacheInner>,
     generation: u64,
     plane_key: engine::PlaneKey,
     key: BaselineKey,
@@ -221,11 +185,11 @@ thread_local! {
     static LEASE: RefCell<Option<Lease>> = const { RefCell::new(None) };
 }
 
-/// Resolves one power cycle through the rep-delta path, if a baseline
-/// for this `(die, condition)` exists or is due. Returns the retained
-/// count, or `None` when this rep must take the full dense resolve
-/// (path disabled, first sight of the condition, or the die fell out
-/// of the cache).
+/// Resolves one power cycle through the rep-delta path of the current
+/// [`PlaneCache`], if a baseline for this `(die, condition)` exists or
+/// is due. Returns the retained count, or `None` when this rep must
+/// take the full dense resolve (a dense cache, first sight of the
+/// condition, or the die is not in the cache).
 pub(crate) fn resolve_delta(
     data: &mut PackedBits,
     planes: &Arc<DiePlanes>,
@@ -233,24 +197,29 @@ pub(crate) fn resolve_delta(
     stress: f64,
     event_id: u64,
 ) -> Option<usize> {
-    if !enabled() {
+    let cache = PlaneCache::current();
+    let inner = &cache.0;
+    if inner.dense {
         return None;
     }
     let key = BaselineKey::new(event, stress);
     let plane_key = planes.key();
-    let generation = engine::cache_generation();
+    let generation = inner.generation.load(Ordering::Relaxed);
     // Steady state: the lease taken for the previous rep still matches —
     // no lock, no allocation.
     let leased = LEASE.with(|l| {
         l.borrow().as_ref().and_then(|lease| {
-            (lease.generation == generation && lease.plane_key == plane_key && lease.key == key)
+            (std::ptr::eq(lease.cache.as_ptr(), Arc::as_ptr(inner))
+                && lease.generation == generation
+                && lease.plane_key == plane_key
+                && lease.key == key)
                 .then(|| lease.baseline.clone())
         })
     });
     let baseline = match leased {
         Some(b) => b,
         None => {
-            let slot = engine::baseline_slot(&plane_key, &key)?;
+            let slot = cache.baseline_slot(&plane_key, &key)?;
             let mut built_here = false;
             let b = slot
                 .get_or_init(|| {
@@ -259,31 +228,31 @@ pub(crate) fn resolve_delta(
                 })
                 .clone();
             if built_here {
-                BASELINES_BUILT.fetch_add(1, Ordering::Relaxed);
-                engine::note_baseline_built(&plane_key, &key, b.bytes());
+                cache.note_baseline_built(&plane_key, &key, b.bytes());
             }
-            LEASE.with(|l| {
-                *l.borrow_mut() = Some(Lease { generation, plane_key, key, baseline: b.clone() });
-            });
+            let cache = Arc::downgrade(inner);
+            let lease = Lease { cache, generation, plane_key, key, baseline: b.clone() };
+            LEASE.with(|l| *l.borrow_mut() = Some(lease));
             b
         }
     };
     let retained = baseline.apply(data, event_id);
-    DELTA_REPS.fetch_add(1, Ordering::Relaxed);
+    inner.delta_reps.fetch_add(1, Ordering::Relaxed);
     Some(retained)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::array::{ArrayConfig, ResolutionMode, SramArray};
+    use crate::array::{ArrayConfig, SramArray};
     use crate::Temperature;
     use std::time::Duration;
 
-    fn cycle(s: &mut SramArray, mode: ResolutionMode, event: OffEvent) -> usize {
+    /// One power cycle under `cache`.
+    fn cycle(s: &mut SramArray, cache: &PlaneCache, event: OffEvent) -> usize {
         s.power_off(event).unwrap();
         s.elapse(Duration::from_millis(5), Temperature::from_celsius(25.0));
-        s.power_on_with(mode).unwrap().retained
+        cache.enter(|| s.power_on().unwrap().retained)
     }
 
     /// The promotion policy: rep 1 full (condition noted), rep 2 builds
@@ -291,21 +260,21 @@ mod tests {
     /// dense-path twin.
     #[test]
     fn delta_engages_on_third_rep_and_stays_bit_exact() {
-        crate::clear_plane_cache();
+        let (cache, dense_cache) = (PlaneCache::new(), PlaneCache::dense());
         let config = ArrayConfig::with_bits("delta", 65 * 64 + 17);
         let seed = 0xDE17A_u64;
         let mut sparse = SramArray::new(config.clone(), seed);
         let mut dense = SramArray::new(config, seed);
-        sparse.power_on().unwrap();
-        dense.power_on_with(ResolutionMode::BatchedFull).unwrap();
+        cache.enter(|| sparse.power_on()).unwrap();
+        dense_cache.enter(|| dense.power_on()).unwrap();
         let event = OffEvent::held_with_droop(0.8, 0.31);
-        let before = stats();
+        let before = cache.delta_stats();
         for rep in 0..5 {
             for s in [&mut sparse, &mut dense] {
                 s.fill(0xA5).unwrap();
             }
-            let rs = cycle(&mut sparse, ResolutionMode::Batched, event);
-            let rd = cycle(&mut dense, ResolutionMode::BatchedFull, event);
+            let rs = cycle(&mut sparse, &cache, event);
+            let rd = cycle(&mut dense, &dense_cache, event);
             assert_eq!(rs, rd, "rep {rep} retained counts differ");
             assert_eq!(
                 sparse.snapshot().unwrap(),
@@ -313,78 +282,77 @@ mod tests {
                 "rep {rep} images differ"
             );
         }
-        let after = stats();
+        let after = cache.delta_stats();
         assert_eq!(after.baselines_built - before.baselines_built, 1, "one baseline per key");
         assert!(after.delta_reps >= before.delta_reps + 4, "reps 2..5 ride the delta path");
-        crate::clear_plane_cache();
+        assert_eq!(dense_cache.delta_stats(), DeltaStats::default(), "a dense cache never rides");
     }
 
-    /// `force_disable` routes everything dense again (and back), with
-    /// identical output either way.
+    /// One die alternating power-ons between a delta cache and a dense
+    /// cache resolves exactly like a twin that only ever runs dense.
     #[test]
-    fn force_disable_routes_dense_and_is_bit_exact() {
-        crate::clear_plane_cache();
+    fn alternating_delta_and_dense_caches_is_bit_exact() {
+        let (cache, dense_cache) = (PlaneCache::new(), PlaneCache::dense());
         let config = ArrayConfig::with_bits("toggle", 4096);
         let mut a = SramArray::new(config.clone(), 0x70661E);
         let mut b = SramArray::new(config, 0x70661E);
-        a.power_on().unwrap();
-        b.power_on().unwrap();
-        let event = OffEvent::unpowered();
-        for rep in 0..4 {
-            // Flip the kill switch every rep; outputs must not care.
-            force_disable(rep % 2 == 0);
+        cache.enter(|| a.power_on()).unwrap();
+        dense_cache.enter(|| b.power_on()).unwrap();
+        let event = OffEvent::held_with_droop(0.8, 0.31);
+        for rep in 0..8 {
+            // Switch caches every rep; outputs must not care.
+            let on = if rep % 2 == 0 { &cache } else { &dense_cache };
             for s in [&mut a, &mut b] {
                 s.fill(0x3C).unwrap();
             }
-            let ra = cycle(&mut a, ResolutionMode::Batched, event);
-            let rb = cycle(&mut b, ResolutionMode::BatchedFull, event);
+            let ra = cycle(&mut a, on, event);
+            let rb = cycle(&mut b, &dense_cache, event);
             assert_eq!(ra, rb);
             assert_eq!(a.snapshot().unwrap(), b.snapshot().unwrap(), "rep {rep} images differ");
         }
-        force_disable(false);
-        crate::clear_plane_cache();
+        assert!(cache.delta_stats().delta_reps > 0, "the delta cache's reps rode the delta path");
+        assert_eq!(dense_cache.delta_stats(), DeltaStats::default());
     }
 
-    /// Satellite 6 mirror of the PR-6 plane-cache hammer: threads run
-    /// delta-eligible cycles while another thread clears the cache; the
-    /// `Arc` lease must keep every in-flight baseline alive and every
-    /// image byte-identical to an isolated dense reference.
+    /// Mirror of the plane-cache hammer: threads run delta-eligible
+    /// cycles while another thread clears the cache; the `Arc` lease
+    /// must keep every in-flight baseline alive and every image
+    /// byte-identical to an isolated dense reference.
     #[test]
     fn clear_during_resolve_keeps_leased_baselines_valid() {
-        crate::clear_plane_cache();
+        let cache = PlaneCache::new();
+        let dense_cache = PlaneCache::dense();
         let config = ArrayConfig::with_bits("hammer", 8192);
         let seed = 0xC1EA_DE17A_u64;
         let event = OffEvent::held_with_droop(0.9, 0.3);
         // Dense reference, computed once up front.
         let mut reference = SramArray::new(config.clone(), seed);
-        reference.power_on_with(ResolutionMode::BatchedFull).unwrap();
+        dense_cache.enter(|| reference.power_on()).unwrap();
         let mut expected = Vec::new();
         for _ in 0..12 {
             reference.fill(0x96).unwrap();
-            cycle(&mut reference, ResolutionMode::BatchedFull, event);
+            cycle(&mut reference, &dense_cache, event);
             expected.push(reference.snapshot().unwrap());
         }
         std::thread::scope(|s| {
             for _ in 0..4 {
-                let config = config.clone();
-                let expected = &expected;
+                let (config, cache, expected) = (config.clone(), &cache, &expected);
                 s.spawn(move || {
                     let mut die = SramArray::new(config, seed);
-                    die.power_on().unwrap();
+                    cache.enter(|| die.power_on()).unwrap();
                     for (rep, want) in expected.iter().enumerate() {
                         die.fill(0x96).unwrap();
-                        cycle(&mut die, ResolutionMode::Batched, event);
+                        cycle(&mut die, cache, event);
                         assert_eq!(&die.snapshot().unwrap(), want, "rep {rep} diverged");
                     }
                 });
             }
             s.spawn(|| {
                 for _ in 0..50 {
-                    crate::clear_plane_cache();
+                    cache.clear();
                     std::thread::yield_now();
                 }
             });
         });
-        crate::clear_plane_cache();
     }
 }

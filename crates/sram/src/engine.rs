@@ -30,7 +30,7 @@
 //!    cycle, while each bit *removed* doubles the (cheap, exact)
 //!    bucket-tie fallback rate — these widths keep ties in the low
 //!    thousands per megabyte while the warm cycle stays bandwidth-lean.
-//!    Planes are memoized on the array and in a bounded global cache, so
+//!    Planes are memoized on the array and in a bounded [`PlaneCache`], so
 //!    repeated cycles of the same die (the common case) derive nothing.
 //! 2. **Lane kernels** — resolution is pure mask algebra over the bucket
 //!    planes: an MSB-first eq-prefix scan compares 64 cells per row
@@ -51,11 +51,12 @@
 use crate::array::OffEvent;
 use crate::bits::PackedBits;
 use crate::cell::{derive_decay_budget, derive_drv, derive_powerup, CellDistribution, PowerUpKind};
+use crate::delta::{Baseline, BaselineKey, DeltaStats};
 use crate::par;
 use crate::rng::{event_word_at, unit_f64};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, LazyLock, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Arrays with at least this many bits shard word-range resolution and
 /// plane building across threads; smaller arrays stay single-threaded.
@@ -103,13 +104,13 @@ const META_ROW: usize = 1;
 /// an exact population bound, not a plausibility cut-off.
 const Z_BOUND: f64 = 38.0;
 
-/// Total cells the global plane cache may hold before evicting the
+/// Total cells a plane cache may hold before evicting the
 /// oldest die (between ≈1.3 bytes of plane data per cell, power-up
 /// stream only, and ≈4.5 bytes with all three streams, plus one 128 KiB
 /// cut table per die whose decay stream is built).
 const MAX_CACHED_CELLS: usize = 48 << 20;
 
-/// Most dies the global plane cache retains at once. The cell cap alone
+/// Most dies a plane cache retains at once. The cell cap alone
 /// does not bound a fleet sweep over millions of *small* virtual dies —
 /// a 4 Kib die occupies one tile, so 10⁶ of them would grow the cache
 /// by gigabytes of tiles plus, once their decay streams are built, a
@@ -290,6 +291,8 @@ pub(crate) struct DiePlanes {
     powerup: PowerUpStream,
     drv: OnceLock<TileRows<DRV_BITS>>,
     decay: OnceLock<DecayStream>,
+    /// Stream-build counters of the cache that built this die.
+    builds: Arc<StreamBuilds>,
 }
 
 impl std::fmt::Debug for DiePlanes {
@@ -298,30 +301,19 @@ impl std::fmt::Debug for DiePlanes {
     }
 }
 
-/// Power-up streams built since process start.
-static POWERUP_BUILDS: AtomicU64 = AtomicU64::new(0);
-
-/// DRV streams built since process start.
-static DRV_BUILDS: AtomicU64 = AtomicU64::new(0);
-
-/// Decay streams built since process start.
-static DECAY_BUILDS: AtomicU64 = AtomicU64::new(0);
-
-/// Returns the stream in `slot`, building it on first use, plus whether
-/// this call built it. Concurrent first requests block on one build.
-fn get_or_build<T>(slot: &OnceLock<T>, build: impl FnOnce() -> T) -> (&T, bool) {
-    let mut built_here = false;
-    let stream = slot.get_or_init(|| {
-        built_here = true;
-        build()
-    });
-    (stream, built_here)
+/// Per-stream build counters of one [`PlaneCache`].
+#[derive(Default)]
+pub(crate) struct StreamBuilds {
+    powerup: AtomicU64,
+    drv: AtomicU64,
+    decay: AtomicU64,
 }
 
 impl DiePlanes {
     /// Derives the planes for one die: the power-up stream now, the
-    /// other two on first use.
-    fn build(seed: u64, bits: usize, dist: &CellDistribution) -> Self {
+    /// other two on first use. Every stream built bumps `builds`.
+    fn build(seed: u64, bits: usize, dist: &CellDistribution, builds: Arc<StreamBuilds>) -> Self {
+        builds.powerup.fetch_add(1, Ordering::Relaxed);
         DiePlanes {
             seed,
             bits,
@@ -329,6 +321,7 @@ impl DiePlanes {
             powerup: build_powerup(seed, bits, dist),
             drv: OnceLock::new(),
             decay: OnceLock::new(),
+            builds,
         }
     }
 
@@ -347,23 +340,24 @@ impl DiePlanes {
         plane_key(self.seed, self.bits, &self.dist)
     }
 
-    /// The DRV stream, plus whether this call built it.
-    fn drv(&self) -> (&TileRows<DRV_BITS>, bool) {
-        get_or_build(&self.drv, || {
+    /// The DRV stream, built on first use. Concurrent first requests
+    /// block on one build.
+    fn drv(&self) -> &TileRows<DRV_BITS> {
+        self.drv.get_or_init(|| {
             let (seed, dist, grid) = (self.seed, &self.dist, DrvGrid::new(&self.dist));
             let rows = build_buckets(self.bits, |cell| grid.bucket(derive_drv(seed, cell, dist)));
-            DRV_BUILDS.fetch_add(1, Ordering::Relaxed);
+            self.builds.drv.fetch_add(1, Ordering::Relaxed);
             rows
         })
     }
 
-    /// The decay stream, plus whether this call built it.
-    fn decay(&self) -> (&DecayStream, bool) {
-        get_or_build(&self.decay, || {
+    /// The decay stream, built on first use like [`DiePlanes::drv`].
+    fn decay(&self) -> &DecayStream {
+        self.decay.get_or_init(|| {
             let (seed, dist, cuts) = (self.seed, &self.dist, DecayCuts::new(self.dist.decay_sigma));
             let rows =
                 build_buckets(self.bits, |cell| cuts.bucket(derive_decay_budget(seed, cell, dist)));
-            DECAY_BUILDS.fetch_add(1, Ordering::Relaxed);
+            self.builds.decay.fetch_add(1, Ordering::Relaxed);
             DecayStream { rows, cuts }
         })
     }
@@ -438,7 +432,6 @@ fn build_powerup(seed: u64, bits: usize, dist: &CellDistribution) -> PowerUpStre
             }
         }
     });
-    POWERUP_BUILDS.fetch_add(1, Ordering::Relaxed);
     PowerUpStream { rows: TileRows { words }, bias_q }
 }
 
@@ -471,7 +464,7 @@ fn build_buckets<const BITS: usize>(
 }
 
 // ---------------------------------------------------------------------
-// Global plane cache
+// Plane cache
 // ---------------------------------------------------------------------
 
 pub(crate) type PlaneKey = (u64, usize, [u64; 6]);
@@ -483,7 +476,7 @@ type PlaneSlot = Arc<OnceLock<Arc<DiePlanes>>>;
 
 /// A rep-delta baseline slot, same insert-then-build discipline as
 /// [`PlaneSlot`]: exactly one thread scans the die per condition.
-pub(crate) type BaselineSlot = Arc<OnceLock<Arc<crate::delta::Baseline>>>;
+pub(crate) type BaselineSlot = Arc<OnceLock<Arc<Baseline>>>;
 
 pub(crate) fn plane_key(seed: u64, bits: usize, dist: &CellDistribution) -> PlaneKey {
     (
@@ -508,233 +501,298 @@ fn key_cells(key: &PlaneKey) -> usize {
 }
 
 /// One cached die: its plane slot plus the rep-delta bookkeeping that
-/// lives *next to* the planes (ISSUE: "baseline slot + eviction
-/// accounting in the plane cache"). Evicting the die drops its
-/// baselines with it — a baseline is useless without a live entry to
-/// find it through.
+/// lives *next to* the planes. Evicting the die drops its baselines
+/// with it — a baseline is useless without a live entry to find it
+/// through.
 struct CacheEntry {
     key: PlaneKey,
     slot: PlaneSlot,
     /// Conditions resolved exactly once so far (promotion ring; see
     /// [`SEEN_CONDITIONS`]).
-    seen: VecDeque<crate::delta::BaselineKey>,
+    seen: VecDeque<BaselineKey>,
     /// Materialized (or building) baselines, oldest first.
-    baselines: VecDeque<(crate::delta::BaselineKey, BaselineSlot)>,
+    baselines: VecDeque<(BaselineKey, BaselineSlot)>,
 }
 
+/// A cache's entries and the counters updated under its lock.
+#[derive(Default)]
 struct PlaneCacheState {
     entries: VecDeque<CacheEntry>,
     /// Bytes held by *built* baselines (a building slot counts once its
-    /// builder reports in through [`note_baseline_built`]).
+    /// builder reports in through [`PlaneCache::note_baseline_built`]).
     baseline_bytes: usize,
+    /// Dies evicted by the entry/cell caps.
+    plane_evictions: u64,
+    /// Baselines evicted (by die eviction, the per-die FIFO, or the
+    /// byte cap). Only *built* baselines count — an abandoned building
+    /// slot never held memory worth accounting.
+    baseline_evictions: u64,
+    /// Baselines scanned and materialized.
+    baselines_built: u64,
 }
 
-static PLANE_CACHE: Mutex<PlaneCacheState> =
-    Mutex::new(PlaneCacheState { entries: VecDeque::new(), baseline_bytes: 0 });
-
-/// Locks the plane cache, recovering from poisoning: every critical
-/// section leaves the state usable (at worst a baseline byte charge is
-/// stale), so a panic elsewhere must not take the cache down with it.
-fn lock_cache() -> MutexGuard<'static, PlaneCacheState> {
-    PLANE_CACHE.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Dies evicted by the entry/cell caps since process start.
-static PLANE_EVICTIONS: AtomicU64 = AtomicU64::new(0);
-
-/// Baselines evicted (by die eviction, the per-die FIFO, or the global
-/// byte cap) since process start. Only *built* baselines count — an
-/// abandoned building slot never held memory worth accounting.
-static BASELINE_EVICTIONS: AtomicU64 = AtomicU64::new(0);
-
-/// Bumped by [`clear_plane_cache`]; thread-local baseline leases in
-/// [`crate::delta`] are stamped with the generation they were taken
-/// under and re-validate against it, so a clear invalidates every lease
-/// at its holder's next rep boundary without touching other threads.
-static CACHE_GENERATION: AtomicU64 = AtomicU64::new(1);
-
-fn account_evicted_baselines(entry: &CacheEntry, baseline_bytes: &mut usize) {
-    for (_, slot) in &entry.baselines {
-        if let Some(b) = slot.get() {
-            *baseline_bytes = baseline_bytes.saturating_sub(b.bytes());
-            BASELINE_EVICTIONS.fetch_add(1, Ordering::Relaxed);
-        }
+impl PlaneCacheState {
+    /// Forgets built baseline `b`: uncharges its bytes, counts it evicted.
+    fn evict_baseline(&mut self, b: &Baseline) {
+        self.baseline_bytes = self.baseline_bytes.saturating_sub(b.bytes());
+        self.baseline_evictions += 1;
     }
 }
 
-/// Returns the memoized planes for one die, building them on first use,
-/// plus whether this call was served an existing build (`true`) or had
-/// to derive the planes itself (`false`) — the campaign telemetry layer
-/// reports this as plane-cache hit/miss counters.
-///
-/// The cache is keyed by `(seed, size, distribution)` and bounded by
-/// total cells; the oldest die is evicted first. The slot for a key is
-/// inserted under the lock but *built* outside it, so a long derivation
-/// never serializes unrelated dies — and because the slot is a
-/// [`OnceLock`], concurrent requests for the *same* die block on one
-/// build instead of each deriving a private copy (and instead of the
-/// insert-last-wins race the double-checked scheme used to have, where
-/// an eviction between the two checks could drop a freshly built die).
-pub(crate) fn planes_for(
-    seed: u64,
-    bits: usize,
-    dist: &CellDistribution,
-) -> (Arc<DiePlanes>, bool) {
-    let key = plane_key(seed, bits, dist);
-    let slot: PlaneSlot = {
-        let mut cache = lock_cache();
-        if let Some(e) = cache.entries.iter().find(|e| e.key == key) {
-            e.slot.clone()
-        } else {
-            let s: PlaneSlot = Arc::new(OnceLock::new());
-            cache.entries.push_back(CacheEntry {
-                key,
-                slot: s.clone(),
-                seen: VecDeque::new(),
-                baselines: VecDeque::new(),
-            });
-            let mut total: usize = cache.entries.iter().map(|e| key_cells(&e.key)).sum();
-            while (total > MAX_CACHED_CELLS || cache.entries.len() > MAX_CACHED_DIES)
-                && cache.entries.len() > 1
-            {
-                if let Some(evicted) = cache.entries.pop_front() {
-                    total -= key_cells(&evicted.key);
-                    PLANE_EVICTIONS.fetch_add(1, Ordering::Relaxed);
-                    account_evicted_baselines(&evicted, &mut cache.baseline_bytes);
-                }
-            }
-            s
-        }
-    };
-    let mut built_here = false;
-    let planes = slot
-        .get_or_init(|| {
-            built_here = true;
-            Arc::new(DiePlanes::build(seed, bits, dist))
-        })
-        .clone();
-    (planes, !built_here)
+/// An owned plane cache: memoized die planes, the rep-delta baselines
+/// next to them, and their counters. Clones share the cache. Resolves
+/// use the cache [`PlaneCache::enter`] installed on their thread, else
+/// the process default that [`clear_plane_cache`],
+/// [`plane_cache_stats`] and [`crate::delta::stats`] act on.
+#[derive(Clone, Default)]
+pub struct PlaneCache(pub(crate) Arc<CacheInner>);
+
+#[derive(Default)]
+pub(crate) struct CacheInner {
+    /// Set for a [`PlaneCache::dense`] cache: no rep-delta path.
+    pub(crate) dense: bool,
+    state: Mutex<PlaneCacheState>,
+    /// Bumped by [`PlaneCache::clear`], which retires every baseline
+    /// lease ([`crate::delta`]) at its holder's next rep boundary.
+    pub(crate) generation: AtomicU64,
+    /// Reps resolved through the sparse delta path.
+    pub(crate) delta_reps: AtomicU64,
+    streams: Arc<StreamBuilds>,
 }
 
-/// Drops every memoized plane and rep-delta baseline (used by
-/// benchmarks to measure the cold, plane-building first cycle
-/// separately from warm cycles).
-///
-/// Safe to race with in-flight resolutions: plane sets and baselines
-/// are handed out as `Arc`s (a rep holds a lease for as long as it
-/// needs the data), so clearing the cache only forgets them — it never
-/// frees memory under a running kernel. Deliberate clears are not
-/// counted as evictions. The cache generation is bumped so thread-local
-/// baseline leases re-validate on their next rep.
-pub fn clear_plane_cache() {
-    let mut cache = lock_cache();
-    cache.entries.clear();
-    cache.baseline_bytes = 0;
-    CACHE_GENERATION.fetch_add(1, Ordering::Relaxed);
-}
+/// The process-default cache, with the rep-delta path.
+pub(crate) static DEFAULT_CACHE: LazyLock<PlaneCache> = LazyLock::new(PlaneCache::new);
 
-/// The current plane-cache generation (see [`CACHE_GENERATION`]).
-pub(crate) fn cache_generation() -> u64 {
-    CACHE_GENERATION.load(Ordering::Relaxed)
-}
-
-/// Looks up — or, on the *second* sight of a `(die, condition)` pair,
-/// installs — the rep-delta baseline slot for `bkey`, applying the
-/// promotion policy:
-///
-/// * first resolve of a condition: note it in the die's bounded `seen`
-///   ring and return `None` (the rep takes the full resolve);
-/// * second resolve: promote it to a baseline slot (built outside the
-///   lock by exactly one thread, like the planes themselves);
-/// * later resolves: hand back the existing slot.
-///
-/// Returns `None` when the die itself is not cached (evicted under
-/// pressure) — the delta path simply falls back to a full resolve.
-pub(crate) fn baseline_slot(
-    key: &PlaneKey,
-    bkey: &crate::delta::BaselineKey,
-) -> Option<BaselineSlot> {
-    let mut cache = lock_cache();
-    let mut displaced: Option<(crate::delta::BaselineKey, BaselineSlot)> = None;
-    let slot = {
-        let entry = cache.entries.iter_mut().find(|e| e.key == *key)?;
-        if let Some((_, s)) = entry.baselines.iter().find(|(k, _)| k == bkey) {
-            Some(s.clone())
-        } else if let Some(pos) = entry.seen.iter().position(|k| k == bkey) {
-            entry.seen.remove(pos);
-            let s: BaselineSlot = Arc::new(OnceLock::new());
-            entry.baselines.push_back((*bkey, s.clone()));
-            if entry.baselines.len() > MAX_BASELINES_PER_DIE {
-                displaced = entry.baselines.pop_front();
-            }
-            Some(s)
-        } else {
-            // Concurrent first resolves may race this push; a duplicate
-            // key in the ring is harmless (position() finds the first).
-            entry.seen.push_back(*bkey);
-            while entry.seen.len() > SEEN_CONDITIONS {
-                entry.seen.pop_front();
-            }
-            None
-        }
-    };
-    if let Some((_, old)) = displaced {
-        if let Some(b) = old.get() {
-            cache.baseline_bytes = cache.baseline_bytes.saturating_sub(b.bytes());
-            BASELINE_EVICTIONS.fetch_add(1, Ordering::Relaxed);
-        }
+impl PlaneCache {
+    /// An empty cache with the rep-delta path.
+    pub fn new() -> Self {
+        Self::default()
     }
-    slot
-}
 
-/// Called by the builder after it finishes a baseline: charges the
-/// bytes to the cache and sheds the oldest *other* baselines while the
-/// global byte cap is exceeded. If the slot was evicted while building,
-/// nothing is charged — the builder's own `Arc` lease is then the only
-/// reference and the memory dies with the rep.
-pub(crate) fn note_baseline_built(key: &PlaneKey, bkey: &crate::delta::BaselineKey, bytes: usize) {
-    let mut cache = lock_cache();
-    let still_cached =
-        cache.entries.iter().any(|e| e.key == *key && e.baselines.iter().any(|(k, _)| k == bkey));
-    if !still_cached {
-        return;
+    /// An empty cache without the rep-delta path: every `Batched`
+    /// resolve under it takes the dense scan, with identical output.
+    pub fn dense() -> Self {
+        PlaneCache(Arc::new(CacheInner { dense: true, ..CacheInner::default() }))
     }
-    cache.baseline_bytes += bytes;
-    while cache.baseline_bytes > MAX_BASELINE_BYTES {
-        let charged = cache.baseline_bytes;
-        let mut freed = 0usize;
-        let mut evicted = 0u64;
-        for e in cache.entries.iter_mut() {
-            while let Some((k, s)) = e.baselines.front() {
-                if e.key == *key && k == bkey {
-                    break; // never shed the baseline just installed
-                }
-                match s.get() {
-                    // A building slot holds no accounted memory yet and
-                    // popping it would orphan its builder's accounting;
-                    // leave this die's FIFO alone until it settles.
-                    None => break,
-                    Some(b) => {
-                        freed += b.bytes();
-                        evicted += 1;
-                        e.baselines.pop_front();
+
+    /// The cache resolves on this thread use: the innermost
+    /// [`PlaneCache::enter`] scope's, else the process default.
+    pub fn current() -> Self {
+        par::CONTEXT.with_borrow(|c| c.cache.clone()).unwrap_or_else(|| DEFAULT_CACHE.clone())
+    }
+
+    /// Runs `f` with `self` as this thread's current cache, restoring
+    /// the previous one afterwards — panic included.
+    pub fn enter<R>(&self, f: impl FnOnce() -> R) -> R {
+        par::scoped(|c| c.cache = Some(self.clone()), f)
+    }
+
+    /// Locks the entry list, recovering from poisoning: every critical
+    /// section leaves the state usable (at worst a baseline byte charge
+    /// is stale), so a panic elsewhere must not take the cache down.
+    fn lock(&self) -> MutexGuard<'_, PlaneCacheState> {
+        self.0.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Returns the memoized planes for one die, building them on first
+    /// use, plus whether this call was served an existing build
+    /// (`true`) or had to derive the planes itself (`false`) — the
+    /// campaign telemetry layer reports this as plane-cache hit/miss
+    /// counters.
+    ///
+    /// The cache is keyed by `(seed, size, distribution)` and bounded by
+    /// total cells; the oldest die is evicted first. The slot for a key
+    /// is inserted under the lock but *built* outside it, so a long
+    /// derivation never serializes unrelated dies — and because the
+    /// slot is a [`OnceLock`], concurrent requests for the *same* die
+    /// block on one build instead of each deriving a private copy.
+    pub(crate) fn planes_for(
+        &self,
+        seed: u64,
+        bits: usize,
+        dist: &CellDistribution,
+    ) -> (Arc<DiePlanes>, bool) {
+        let key = plane_key(seed, bits, dist);
+        let slot: PlaneSlot = {
+            let mut cache = self.lock();
+            if let Some(e) = cache.entries.iter().find(|e| e.key == key) {
+                e.slot.clone()
+            } else {
+                let s: PlaneSlot = Arc::new(OnceLock::new());
+                cache.entries.push_back(CacheEntry {
+                    key,
+                    slot: s.clone(),
+                    seen: VecDeque::new(),
+                    baselines: VecDeque::new(),
+                });
+                let mut total: usize = cache.entries.iter().map(|e| key_cells(&e.key)).sum();
+                while (total > MAX_CACHED_CELLS || cache.entries.len() > MAX_CACHED_DIES)
+                    && cache.entries.len() > 1
+                {
+                    if let Some(evicted) = cache.entries.pop_front() {
+                        total -= key_cells(&evicted.key);
+                        cache.plane_evictions += 1;
+                        for b in evicted.baselines.iter().filter_map(|(_, s)| s.get()) {
+                            cache.evict_baseline(b);
+                        }
                     }
                 }
+                s
             }
-            if charged.saturating_sub(freed) <= MAX_BASELINE_BYTES {
-                break;
+        };
+        let mut built_here = false;
+        let planes = slot
+            .get_or_init(|| {
+                built_here = true;
+                Arc::new(DiePlanes::build(seed, bits, dist, self.0.streams.clone()))
+            })
+            .clone();
+        (planes, !built_here)
+    }
+
+    /// Drops every memoized plane and rep-delta baseline.
+    ///
+    /// Safe to race with in-flight resolutions: plane sets and baselines
+    /// are handed out as `Arc`s (a rep holds a lease for as long as it
+    /// needs the data), so clearing the cache only forgets them — it
+    /// never frees memory under a running kernel. Deliberate clears are
+    /// not counted as evictions. The cache generation is bumped so
+    /// thread-local baseline leases re-validate on their next rep.
+    pub fn clear(&self) {
+        let mut cache = self.lock();
+        cache.entries.clear();
+        cache.baseline_bytes = 0;
+        self.0.generation.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Looks up — or, on the *second* sight of a `(die, condition)`
+    /// pair, installs — the rep-delta baseline slot for `bkey`, applying
+    /// the promotion policy:
+    ///
+    /// * first resolve of a condition: note it in the die's bounded
+    ///   `seen` ring and return `None` (the rep takes the full resolve);
+    /// * second resolve: promote it to a baseline slot (built outside
+    ///   the lock by exactly one thread, like the planes themselves);
+    /// * later resolves: hand back the existing slot.
+    ///
+    /// Returns `None` when the die itself is not cached (evicted under
+    /// pressure, or its planes were served by another cache) — the
+    /// delta path simply falls back to a full resolve.
+    pub(crate) fn baseline_slot(&self, key: &PlaneKey, bkey: &BaselineKey) -> Option<BaselineSlot> {
+        let mut cache = self.lock();
+        let mut displaced: Option<(BaselineKey, BaselineSlot)> = None;
+        let slot = {
+            let entry = cache.entries.iter_mut().find(|e| e.key == *key)?;
+            if let Some((_, s)) = entry.baselines.iter().find(|(k, _)| k == bkey) {
+                Some(s.clone())
+            } else if let Some(pos) = entry.seen.iter().position(|k| k == bkey) {
+                entry.seen.remove(pos);
+                let s: BaselineSlot = Arc::new(OnceLock::new());
+                entry.baselines.push_back((*bkey, s.clone()));
+                if entry.baselines.len() > MAX_BASELINES_PER_DIE {
+                    displaced = entry.baselines.pop_front();
+                }
+                Some(s)
+            } else {
+                // Concurrent first resolves may race this push; a
+                // duplicate key in the ring is harmless (position()
+                // finds the first).
+                entry.seen.push_back(*bkey);
+                while entry.seen.len() > SEEN_CONDITIONS {
+                    entry.seen.pop_front();
+                }
+                None
+            }
+        };
+        if let Some(b) = displaced.as_ref().and_then(|(_, old)| old.get()) {
+            cache.evict_baseline(b);
+        }
+        slot
+    }
+
+    /// Called by the builder after it finishes a baseline: counts the
+    /// build, charges the bytes to the cache and sheds the oldest
+    /// *other* baselines while the byte cap is exceeded. If the slot was
+    /// evicted while building, nothing is charged — the builder's own
+    /// `Arc` lease is then the only reference and the memory dies with
+    /// the rep.
+    pub(crate) fn note_baseline_built(&self, key: &PlaneKey, bkey: &BaselineKey, bytes: usize) {
+        let mut cache = self.lock();
+        cache.baselines_built += 1;
+        let holds = |e: &CacheEntry| e.key == *key && e.baselines.iter().any(|(k, _)| k == bkey);
+        if !cache.entries.iter().any(holds) {
+            return; // evicted while building
+        }
+        cache.baseline_bytes += bytes;
+        while cache.baseline_bytes > MAX_BASELINE_BYTES {
+            let charged = cache.baseline_bytes;
+            let mut freed = 0usize;
+            let mut evicted = 0u64;
+            for e in cache.entries.iter_mut() {
+                while let Some((k, s)) = e.baselines.front() {
+                    if e.key == *key && k == bkey {
+                        break; // never shed the baseline just installed
+                    }
+                    match s.get() {
+                        // A building slot holds no accounted memory yet
+                        // and popping it would orphan its builder's
+                        // accounting; leave this die's FIFO alone until
+                        // it settles.
+                        None => break,
+                        Some(b) => {
+                            freed += b.bytes();
+                            evicted += 1;
+                            e.baselines.pop_front();
+                        }
+                    }
+                }
+                if charged.saturating_sub(freed) <= MAX_BASELINE_BYTES {
+                    break;
+                }
+            }
+            cache.baseline_evictions += evicted;
+            cache.baseline_bytes = cache.baseline_bytes.saturating_sub(freed);
+            if freed == 0 {
+                break; // nothing evictable left (all building or protected)
             }
         }
-        BASELINE_EVICTIONS.fetch_add(evicted, Ordering::Relaxed);
-        cache.baseline_bytes = cache.baseline_bytes.saturating_sub(freed);
-        if freed == 0 {
-            break; // nothing evictable left (all building or protected)
+    }
+
+    /// Snapshot of this cache's delta-path usage counters.
+    pub fn delta_stats(&self) -> DeltaStats {
+        let baselines_built = self.lock().baselines_built;
+        DeltaStats { delta_reps: self.0.delta_reps.load(Ordering::Relaxed), baselines_built }
+    }
+
+    /// Snapshot of this cache's [`PlaneCacheStats`].
+    pub fn stats(&self) -> PlaneCacheStats {
+        let cache = self.lock();
+        let load = |n: &AtomicU64| n.load(Ordering::Relaxed);
+        let built =
+            || cache.entries.iter().flat_map(|e| e.baselines.iter().filter_map(|(_, s)| s.get()));
+        PlaneCacheStats {
+            entries: cache.entries.len(),
+            cells: cache.entries.iter().map(|e| key_cells(&e.key)).sum(),
+            baselines: built().count(),
+            baseline_bytes: cache.baseline_bytes,
+            baseline_hot_words: built().map(|b| b.hot_words()).sum(),
+            plane_evictions: cache.plane_evictions,
+            baseline_evictions: cache.baseline_evictions,
+            powerup_streams_built: load(&self.0.streams.powerup),
+            drv_streams_built: load(&self.0.streams.drv),
+            decay_streams_built: load(&self.0.streams.decay),
         }
     }
 }
 
-/// Point-in-time occupancy and lifetime eviction counters for the
-/// global plane/baseline cache.
+/// Clears the process-default [`PlaneCache`] (used by benchmarks to
+/// measure the cold, plane-building first cycle separately from warm
+/// cycles). See [`PlaneCache::clear`].
+pub fn clear_plane_cache() {
+    DEFAULT_CACHE.clear();
+}
+
+/// Point-in-time occupancy and lifetime counters of one plane cache.
 ///
 /// Deliberately **not** recorded into campaign telemetry: whether a
 /// given rep finds a cached baseline (or triggers an eviction) depends
@@ -755,47 +813,25 @@ pub struct PlaneCacheStats {
     /// Hot words (words with any lost cell) across cached baselines —
     /// the per-rep work the delta path actually does.
     pub baseline_hot_words: usize,
-    /// Dies evicted by the entry/cell caps since process start.
+    /// Dies evicted by the entry/cell caps since the cache was created.
     pub plane_evictions: u64,
     /// Baselines evicted (die eviction, per-die FIFO, or byte cap)
-    /// since process start.
+    /// since the cache was created.
     pub baseline_evictions: u64,
-    /// Power-up streams built since process start (one per die build).
+    /// Power-up streams the cache has built (one per die build).
     pub powerup_streams_built: u64,
-    /// DRV streams built since process start (first held query between
+    /// DRV streams built on the cache's dies (first held query between
     /// `drv_min` and `drv_max` on a die).
     pub drv_streams_built: u64,
-    /// Decay streams built since process start (first query with
+    /// Decay streams built on the cache's dies (first query with
     /// positive stress on a die that is not certainly lost).
     pub decay_streams_built: u64,
 }
 
-/// Snapshot of [`PlaneCacheStats`] — see its docs for why this is an
-/// out-of-band API rather than telemetry counters.
+/// Snapshot of the process-default cache's [`PlaneCacheStats`] — see its
+/// docs for why this is an out-of-band API rather than telemetry counters.
 pub fn plane_cache_stats() -> PlaneCacheStats {
-    let cache = lock_cache();
-    PlaneCacheStats {
-        entries: cache.entries.len(),
-        cells: cache.entries.iter().map(|e| key_cells(&e.key)).sum(),
-        baselines: cache
-            .entries
-            .iter()
-            .map(|e| e.baselines.iter().filter(|(_, s)| s.get().is_some()).count())
-            .sum(),
-        baseline_bytes: cache.baseline_bytes,
-        baseline_hot_words: cache
-            .entries
-            .iter()
-            .flat_map(|e| e.baselines.iter())
-            .filter_map(|(_, s)| s.get())
-            .map(|b| b.hot_words())
-            .sum(),
-        plane_evictions: PLANE_EVICTIONS.load(Ordering::Relaxed),
-        baseline_evictions: BASELINE_EVICTIONS.load(Ordering::Relaxed),
-        powerup_streams_built: POWERUP_BUILDS.load(Ordering::Relaxed),
-        drv_streams_built: DRV_BUILDS.load(Ordering::Relaxed),
-        decay_streams_built: DECAY_BUILDS.load(Ordering::Relaxed),
-    }
+    DEFAULT_CACHE.stats()
 }
 
 // ---------------------------------------------------------------------
@@ -870,12 +906,12 @@ impl<'a> Query<'a> {
         let all_lost = vmin.is_some_and(|v| v < dist.drv_min)
             || stress > (dist.decay_sigma.abs() * Z_BOUND).exp();
         let drv = vmin.filter(|&v| !all_lost && v < dist.drv_max).map(|vmin| DrvQuery {
-            rows: planes.drv().0,
+            rows: planes.drv(),
             vmin,
             vmin_q: DrvGrid::new(dist).bucket(vmin),
         });
         let decay = (!all_lost && stress > 0.0).then(|| {
-            let d = planes.decay().0;
+            let d = planes.decay();
             DecayQuery { rows: &d.rows, stress, stress_q: d.cuts.bucket(stress) }
         });
         Query {
@@ -993,8 +1029,9 @@ fn keep_chunk<const N: usize>(word0: usize, q: &Query<'_>) -> ([u64; N], [u64; N
 ///
 /// `N = 4` is the wide path (a 256-bit effective lane per row
 /// operation, unrolled over four `u64`s — portable, no intrinsics);
-/// `N = 1` is the word oracle the wide path is tested against and the
-/// remainder path at array edges.
+/// `N = 1` is the remainder path at array edges and, through the
+/// test-only `tests::resolve_word`, the oracle the wide path is tested
+/// against.
 #[inline]
 fn resolve_chunk<const N: usize>(data: &mut [u64; N], word0: usize, q: &Query<'_>) -> u32 {
     let (keep, valid) = keep_chunk::<N>(word0, q);
@@ -1068,20 +1105,15 @@ pub(crate) fn sample_meta_word(meta: u64, word: usize, planes: &DiePlanes, ev_ba
     value
 }
 
-/// Resolves a full power cycle against the planes, writing power-up
-/// samples for lost cells directly into `data`'s words. Returns the
-/// number of retained cells.
-///
-/// `wide` selects the 4-word (256-bit) lane kernel; `false` forces the
-/// single-word oracle everywhere
-/// ([`ResolutionMode::BatchedWord`](crate::ResolutionMode::BatchedWord)).
+/// Resolves a full power cycle against the planes with the 4-word
+/// (256-bit) lane kernel, writing power-up samples for lost cells
+/// directly into `data`'s words. Returns the number of retained cells.
 pub(crate) fn resolve(
     data: &mut PackedBits,
     planes: &DiePlanes,
     event: OffEvent,
     stress: f64,
     event_id: u64,
-    wide: bool,
 ) -> usize {
     let q = Query::new(planes, event, stress, event_id);
     run_words(data, planes.bits(), |words, word_base| {
@@ -1090,7 +1122,7 @@ pub(crate) fn resolve(
         while k < words.len() {
             let word = word_base + k;
             let tile_left = TILE_WORDS - word % TILE_WORDS;
-            if wide && words.len() - k >= 4 && tile_left >= 4 {
+            if words.len() - k >= 4 && tile_left >= 4 {
                 let chunk: &mut [u64; 4] = (&mut words[k..k + 4]).try_into().expect("4-word chunk");
                 retained += resolve_chunk::<4>(chunk, word, &q) as usize;
                 k += 4;
@@ -1131,11 +1163,7 @@ fn note_hot_word(
 /// resolve), recording the **hot words** — words with at least one lost
 /// cell — and the total retained count, which is a pure function of the
 /// condition and is therefore never re-counted per rep.
-pub(crate) fn build_baseline(
-    planes: &Arc<DiePlanes>,
-    event: OffEvent,
-    stress: f64,
-) -> crate::delta::Baseline {
+pub(crate) fn build_baseline(planes: &Arc<DiePlanes>, event: OffEvent, stress: f64) -> Baseline {
     // The event id only feeds `ev_base`, which the keep scan never
     // reads; 0 is as good as any.
     let q = Query::new(planes, event, stress, 0);
@@ -1187,7 +1215,7 @@ pub(crate) fn build_baseline(
         }
         (hot, retained)
     };
-    crate::delta::Baseline::new(planes.clone(), hot, retained)
+    Baseline::new(planes.clone(), hot, retained)
 }
 
 /// Samples a fresh power-up state for every cell (the first power-on and
@@ -1261,8 +1289,28 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// [`resolve`] through the single-word kernel on every word — the
+    /// lane-width oracle the full-width kernel is tested against.
+    pub(crate) fn resolve_word(
+        data: &mut PackedBits,
+        planes: &DiePlanes,
+        event: OffEvent,
+        stress: f64,
+        event_id: u64,
+    ) -> usize {
+        let q = Query::new(planes, event, stress, event_id);
+        run_words(data, planes.bits(), |words, word_base| {
+            let chunks = words.iter_mut().enumerate();
+            chunks
+                .map(|(k, w)| {
+                    resolve_chunk::<1>(std::array::from_mut(w), word_base + k, &q) as usize
+                })
+                .sum()
+        })
+    }
 
     #[test]
     fn prob_bucket_orders_consistently() {
@@ -1385,17 +1433,17 @@ mod tests {
 
     #[test]
     fn plane_cache_memoizes_and_evicts() {
-        clear_plane_cache();
+        let cache = PlaneCache::new();
         let dist = CellDistribution::calibrated();
-        let (a, a_hit) = planes_for(1, 4096, &dist);
-        let (b, b_hit) = planes_for(1, 4096, &dist);
+        let (a, a_hit) = cache.planes_for(1, 4096, &dist);
+        let (b, b_hit) = cache.planes_for(1, 4096, &dist);
         assert!(Arc::ptr_eq(&a, &b), "same die must be served from cache");
         assert!(!a_hit, "first fetch builds");
         assert!(b_hit, "second fetch hits");
-        let (c, c_hit) = planes_for(2, 4096, &dist);
+        let (c, c_hit) = cache.planes_for(2, 4096, &dist);
         assert!(!Arc::ptr_eq(&a, &c));
         assert!(!c_hit);
-        clear_plane_cache();
+        cache.clear();
     }
 
     #[test]
@@ -1406,10 +1454,10 @@ mod tests {
         // insert-last-wins rebuild).
         let dist = CellDistribution::calibrated();
         let seed = 0xA11C_E55E;
-        clear_plane_cache();
+        let cache = PlaneCache::new();
         let results: Vec<(Arc<DiePlanes>, bool)> = std::thread::scope(|s| {
             (0..4)
-                .map(|_| s.spawn(|| planes_for(seed, 100_000, &dist)))
+                .map(|_| s.spawn(|| cache.planes_for(seed, 100_000, &dist)))
                 .collect::<Vec<_>>()
                 .into_iter()
                 .map(|h| h.join().expect("hammer thread panicked"))
@@ -1420,30 +1468,72 @@ mod tests {
         for (p, _) in &results[1..] {
             assert!(Arc::ptr_eq(&results[0].0, p), "all callers share one plane set");
         }
-        clear_plane_cache();
+        cache.clear();
     }
 
     #[test]
     fn planes_for_survives_concurrent_clears() {
-        // Hammer the cache from 4 threads while racing clear_plane_cache:
-        // every returned plane set must still describe the requested die.
+        // Hammer the cache from 4 threads while racing clears: every
+        // returned plane set must still describe the requested die.
         let dist = CellDistribution::calibrated();
+        let cache = PlaneCache::new();
         std::thread::scope(|s| {
             for t in 0..4u64 {
-                let dist = &dist;
+                let (dist, cache) = (&dist, &cache);
                 s.spawn(move || {
                     for i in 0..20u64 {
                         let bits = 1024 + 64 * ((t + i) % 3) as usize;
-                        let (p, _) = planes_for(0xC1EA_0000 + (t + i) % 2, bits, dist);
+                        let (p, _) = cache.planes_for(0xC1EA_0000 + (t + i) % 2, bits, dist);
                         assert_eq!(p.bits(), bits, "planes must match the requested die");
                         if i % 5 == 0 {
-                            clear_plane_cache();
+                            cache.clear();
                         }
                     }
                 });
             }
         });
-        clear_plane_cache();
+        cache.clear();
+    }
+
+    /// Two private caches on one thread share no dies, no leases and
+    /// no counters, and clearing one leaves the other's planes and
+    /// baselines serving.
+    #[test]
+    fn private_caches_share_nothing() {
+        use crate::{ArrayConfig, SramArray};
+        let (a, b) = (PlaneCache::new(), PlaneCache::new());
+        let config = ArrayConfig::with_bits("isolated", 65 * 64 + 17);
+        let event = OffEvent::held_with_droop(0.8, 0.31);
+        let reps = |cache: &PlaneCache, n: usize| {
+            cache.enter(|| {
+                let mut s = SramArray::new(config.clone(), 0x150_1A7E);
+                s.power_on().unwrap();
+                for _ in 0..n {
+                    s.fill(0x5A).unwrap();
+                    s.power_off(event).unwrap();
+                    s.power_on().unwrap();
+                }
+                s.snapshot().unwrap()
+            })
+        };
+        let image = reps(&a, 4);
+        let (sa, da) = (a.stats(), a.delta_stats());
+        assert_eq!((sa.entries, sa.baselines, sa.powerup_streams_built), (1, 1, 1));
+        assert_eq!((da.baselines_built, da.delta_reps), (1, 3));
+        assert_eq!(b.stats(), PlaneCacheStats::default(), "b saw none of a's dies");
+        assert_eq!(b.delta_stats(), crate::delta::DeltaStats::default());
+        // b builds its own die and baseline; a's thread-local lease for
+        // the same (die, condition) must not serve b's reps.
+        assert_eq!(reps(&b, 4), image);
+        assert_eq!((b.stats().powerup_streams_built, b.delta_stats().baselines_built), (1, 1));
+        assert_eq!(b.delta_stats().delta_reps, 3, "b's reps ride b's own baseline");
+        assert_eq!((a.stats(), a.delta_stats()), (sa, da), "b's reps leave a's counters alone");
+        b.clear();
+        assert_eq!(b.stats().entries, 0);
+        assert_eq!(reps(&a, 4), image);
+        assert_eq!(a.stats().powerup_streams_built, 1, "a's die survived b's clear");
+        assert_eq!(a.delta_stats().baselines_built, 1, "a's baseline survived b's clear");
+        assert_eq!(a.delta_stats().delta_reps, 7, "and kept serving");
     }
 
     /// The eager oracle: every stream derived up front in one pass that
@@ -1488,6 +1578,7 @@ mod tests {
             powerup: PowerUpStream { rows: TileRows { words: powerup }, bias_q },
             drv: OnceLock::from(TileRows { words: drv }),
             decay: OnceLock::from(DecayStream { rows: TileRows { words: decay }, cuts }),
+            builds: Arc::default(),
         }
     }
 
@@ -1497,14 +1588,14 @@ mod tests {
     }
 
     fn assert_streams_match_eager(seed: u64, bits: usize, dist: &CellDistribution) {
-        let lazy = DiePlanes::build(seed, bits, dist);
+        let lazy = DiePlanes::build(seed, bits, dist, Arc::default());
         let eager = eager_planes(seed, bits, dist);
         assert_eq!(built(&lazy), (false, false), "a fresh die derives only its power-up stream");
         assert!(lazy.powerup.rows.words == eager.powerup.rows.words, "{bits}: power-up rows");
         assert!(lazy.powerup.bias_q == eager.powerup.bias_q, "{bits}: bias plane");
-        assert!(lazy.drv().0.words == eager.drv().0.words, "{bits}: DRV rows");
-        assert!(lazy.decay().0.rows.words == eager.decay().0.rows.words, "{bits}: decay rows");
-        assert!(lazy.decay().0.cuts.cuts == eager.decay().0.cuts.cuts, "{bits}: cut table");
+        assert!(lazy.drv().words == eager.drv().words, "{bits}: DRV rows");
+        assert!(lazy.decay().rows.words == eager.decay().rows.words, "{bits}: decay rows");
+        assert!(lazy.decay().cuts.cuts == eager.decay().cuts.cuts, "{bits}: cut table");
     }
 
     #[test]
@@ -1577,7 +1668,7 @@ mod tests {
                 decay_sigma,
                 ..CellDistribution::calibrated()
             };
-            let lazy = Arc::new(DiePlanes::build(seed, bits, &dist));
+            let lazy = Arc::new(DiePlanes::build(seed, bits, &dist, Arc::default()));
             let eager = Arc::new(eager_planes(seed, bits, &dist));
             let mut start = PackedBits::zeros(bits);
             for (w, word) in start.words_mut().iter_mut().enumerate() {
@@ -1590,10 +1681,11 @@ mod tests {
                 need_decay |= matches!(step, Step::Unpowered(_));
                 let (event, stress) = step.query(&dist);
                 let mut want = start.clone();
-                let r_want = resolve(&mut want, &eager, event, stress, event_id as u64, true);
+                let r_want = resolve(&mut want, &eager, event, stress, event_id as u64);
                 for wide in [true, false] {
                     let mut got = start.clone();
-                    let r_got = resolve(&mut got, &lazy, event, stress, event_id as u64, wide);
+                    let kernel = if wide { resolve } else { resolve_word };
+                    let r_got = kernel(&mut got, &lazy, event, stress, event_id as u64);
                     proptest::prop_assert_eq!(r_got, r_want, "{:?} wide={}", step, wide);
                     proptest::prop_assert!(got == want, "{:?} wide={}: images differ", step, wide);
                 }
@@ -1607,44 +1699,40 @@ mod tests {
 
     #[test]
     fn first_stream_requests_build_exactly_once() {
-        // A private instance, so no sibling test's cache clear can race
-        // the count: four threads ask for each lazy stream at once and
-        // exactly one of them derives it.
-        let planes = Arc::new(DiePlanes::build(0xB0B, 100_000, &CellDistribution::calibrated()));
+        // A private instance with its own build counters: four threads
+        // ask for each lazy stream at once and it is derived once.
+        let dist = CellDistribution::calibrated();
+        let builds = Arc::<StreamBuilds>::default();
+        let planes = DiePlanes::build(0xB0B, 100_000, &dist, builds.clone());
         let barrier = std::sync::Barrier::new(4);
-        let builds: Vec<(bool, bool)> = std::thread::scope(|s| {
-            (0..4)
-                .map(|_| {
-                    s.spawn(|| {
-                        barrier.wait();
-                        let drv = planes.drv().1;
-                        barrier.wait();
-                        (drv, planes.decay().1)
-                    })
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().expect("stream thread panicked"))
-                .collect()
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    barrier.wait();
+                    planes.drv();
+                    barrier.wait();
+                    planes.decay();
+                });
+            }
         });
-        assert_eq!(builds.iter().filter(|b| b.0).count(), 1, "exactly one DRV build");
-        assert_eq!(builds.iter().filter(|b| b.1).count(), 1, "exactly one decay build");
+        assert_eq!(builds.drv.load(Ordering::Relaxed), 1, "exactly one DRV build");
+        assert_eq!(builds.decay.load(Ordering::Relaxed), 1, "exactly one decay build");
     }
 
     #[test]
     fn poisoned_cache_lock_is_recovered() {
+        let cache = PlaneCache::new();
         let poisoned = std::panic::catch_unwind(|| {
-            let _guard = lock_cache();
+            let _guard = cache.lock();
             panic!("poison the plane cache lock");
         });
         assert!(poisoned.is_err());
-        assert!(PLANE_CACHE.is_poisoned());
+        assert!(cache.0.state.is_poisoned());
         let dist = CellDistribution::calibrated();
-        let (planes, _) = planes_for(0x9015, 4096, &dist);
+        let (planes, _) = cache.planes_for(0x9015, 4096, &dist);
         assert_eq!(planes.bits(), 4096);
-        let _ = plane_cache_stats();
-        clear_plane_cache();
-        PLANE_CACHE.clear_poison();
+        let _ = cache.stats();
+        cache.clear();
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! Fleet observability bridge: re-exports the sram-side process-wide
-//! caches (plane cache, rep-delta resolver) as gauges in the global
-//! metrics registry.
+//! Fleet observability bridge: re-exports the statistics of the sram
+//! process-default plane cache (planes, rep-delta baselines) as gauges
+//! in the global metrics registry.
 //!
-//! The plane cache and the delta resolver already keep their own
-//! relaxed-atomic statistics ([`crate::plane_cache_stats`],
-//! [`crate::delta::stats`]) because they are process-wide caches shared
-//! across campaigns. Those numbers are wall-clock/observability facts —
+//! The default cache keeps its own statistics
+//! ([`crate::plane_cache_stats`], [`crate::delta::stats`]) because it
+//! is shared across the campaigns a process runs. Those numbers are
+//! wall-clock/observability facts —
 //! they never feed resolution results — so mirroring them into the
 //! metrics plane preserves the out-of-band invariant: a `METRICS`
 //! scrape sees the cache working set without touching any simulated

@@ -67,6 +67,6 @@ pub mod rng;
 pub use array::{ArrayConfig, OffEvent, PowerState, ResolutionMode, RetentionReport, SramArray};
 pub use bits::PackedBits;
 pub use cell::{CellParams, PowerUpKind};
-pub use engine::{clear_plane_cache, plane_cache_stats, PlaneCacheStats};
+pub use engine::{clear_plane_cache, plane_cache_stats, PlaneCache, PlaneCacheStats};
 pub use error::SramError;
 pub use physics::{LeakageModel, Temperature};

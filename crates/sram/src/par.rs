@@ -6,7 +6,8 @@
 //! results — callers only hand over work whose output is a pure function
 //! of its inputs.
 
-use std::cell::{Cell, RefCell};
+use crate::PlaneCache;
+use std::cell::RefCell;
 use std::sync::OnceLock;
 
 /// Number of worker threads used for sharded resolution and fan-out.
@@ -26,9 +27,33 @@ pub fn thread_count() -> usize {
     })
 }
 
+/// What work started on a thread runs under — its parallelism budget
+/// and plane cache — and [`join_all`] / [`join`] hand to spawned jobs.
+#[derive(Clone, Default)]
+pub(crate) struct Context {
+    /// Set by [`with_budget`]; `None` means "the full pool".
+    budget: Option<usize>,
+    /// Set by [`PlaneCache::enter`]; `None` means the process default.
+    pub(crate) cache: Option<PlaneCache>,
+}
+
 thread_local! {
-    /// Per-thread parallelism budget; `None` means "the full pool".
-    static BUDGET: Cell<Option<usize>> = const { Cell::new(None) };
+    pub(crate) static CONTEXT: RefCell<Context> = RefCell::default();
+}
+
+/// Runs `f` with this thread's context changed by `update`, restoring
+/// the previous context afterwards — panic included.
+pub(crate) fn scoped<R>(update: impl FnOnce(&mut Context), f: impl FnOnce() -> R) -> R {
+    struct Restore(Context);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            CONTEXT.set(std::mem::take(&mut self.0));
+        }
+    }
+    let mut next = CONTEXT.with_borrow(Context::clone);
+    update(&mut next);
+    let _restore = Restore(CONTEXT.replace(next));
+    f()
 }
 
 /// The parallelism available to work started *on this thread*: the
@@ -42,7 +67,7 @@ thread_local! {
 /// machine is saturated, instead of multiplying `W × thread_count`
 /// threads.
 pub fn effective_parallelism() -> usize {
-    let cap = BUDGET.with(Cell::get).unwrap_or(usize::MAX);
+    let cap = CONTEXT.with_borrow(|c| c.budget).unwrap_or(usize::MAX);
     thread_count().min(cap).max(1)
 }
 
@@ -53,19 +78,9 @@ pub fn effective_parallelism() -> usize {
 /// The budget is thread-local: it governs fan-out decisions made on the
 /// calling thread ([`join_all`] / [`join`] running inline instead of
 /// spawning), which is exactly where a rep-level scheduler dispatches
-/// its inner work from.
+/// its inner work from. Jobs those two spawn inherit it.
 pub fn with_budget<R>(budget: usize, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<usize>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            BUDGET.with(|b| b.set(self.0));
-        }
-    }
-    let prev = BUDGET.with(Cell::get);
-    let cap = budget.max(1).min(prev.unwrap_or(usize::MAX));
-    BUDGET.with(|b| b.set(Some(cap)));
-    let _restore = Restore(prev);
-    f()
+    scoped(|c| c.budget = Some(budget.max(1).min(c.budget.unwrap_or(usize::MAX))), f)
 }
 
 /// Buffers a thread's [`RepArena`] freelist retains per element type.
@@ -146,17 +161,19 @@ pub fn give_bytes(v: Vec<u8>) {
 ///
 /// With one job, or when [`effective_parallelism`] is 1 (a single-thread
 /// pool, or the caller's budget is exhausted), the jobs run inline on
-/// the caller's thread. Otherwise each job gets its own scoped thread;
-/// jobs are expected to be coarse (an SRAM array, a whole experiment
-/// cell), so one thread per job is cheaper than queueing machinery. A
-/// panicking job propagates its panic to the caller.
+/// the caller's thread. Otherwise each job gets its own scoped thread,
+/// running under the caller's budget and plane cache; jobs are expected
+/// to be coarse (an SRAM array, a whole experiment cell), so one thread
+/// per job is cheaper than queueing machinery. A panicking job
+/// propagates its panic to the caller.
 pub fn join_all<'env, T: Send>(jobs: Vec<Box<dyn FnOnce() -> T + Send + 'env>>) -> Vec<T> {
     if jobs.len() <= 1 || effective_parallelism() <= 1 {
         return jobs.into_iter().map(|job| job()).collect();
     }
+    let ctx = CONTEXT.with_borrow(Context::clone);
     std::thread::scope(|s| {
         jobs.into_iter()
-            .map(|job| s.spawn(job))
+            .map(|job| s.spawn(|| scoped(|c| *c = ctx.clone(), job)))
             .collect::<Vec<_>>()
             .into_iter()
             .map(|h| h.join().expect("parallel job panicked"))
@@ -172,8 +189,9 @@ pub fn join<A: Send, B: Send>(
     if effective_parallelism() <= 1 {
         return (a(), b());
     }
+    let ctx = CONTEXT.with_borrow(Context::clone);
     std::thread::scope(|s| {
-        let hb = s.spawn(b);
+        let hb = s.spawn(|| scoped(|c| *c = ctx, b));
         let ra = a();
         (ra, hb.join().expect("parallel job panicked"))
     })
@@ -262,6 +280,27 @@ mod tests {
         ARENA.with(|a| {
             assert!(a.borrow().bytes.len() <= ARENA_MAX_BUFFERS);
         });
+    }
+
+    /// Spawned jobs see the caller's budget and plane cache, through
+    /// `join_all` and `join` alike.
+    #[test]
+    fn spawned_jobs_inherit_the_callers_budget_and_cache() {
+        let id = |c: &PlaneCache| std::sync::Arc::as_ptr(&c.0) as usize;
+        let cache = PlaneCache::new();
+        let seen = || (CONTEXT.with_borrow(|c| c.budget), id(&PlaneCache::current()));
+        let want = (Some(2), id(&cache));
+        let (all, pair) = cache.enter(|| {
+            with_budget(2, || {
+                let jobs: Vec<Box<dyn FnOnce() -> _ + Send>> =
+                    (0..3).map(|_| Box::new(seen) as Box<_>).collect();
+                (join_all(jobs), join(seen, seen))
+            })
+        });
+        assert_eq!(all, vec![want; 3], "join_all jobs");
+        assert_eq!(pair, (want, want), "join closures");
+        assert_eq!(CONTEXT.with_borrow(|c| c.budget), None, "the caller's budget is restored");
+        assert_ne!(id(&PlaneCache::current()), want.1, "and its cache");
     }
 
     #[test]

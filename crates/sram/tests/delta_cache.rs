@@ -1,24 +1,17 @@
 //! Bounded-cache behavior of the plane/baseline cache under fleet-scale
 //! die counts, and the out-of-band stats that surface it.
 //!
-//! Lives in its own integration binary (own process) because every test
-//! here reasons about global cache occupancy; a shared `LOCK` serializes
-//! them against each other within the process.
+//! Every test here reasons about cache occupancy, so each one runs on
+//! its own private [`PlaneCache`]; dense twins run under a dense one.
 
-use std::sync::Mutex;
 use std::time::Duration;
 use voltboot_sram::engine::MAX_CACHED_DIES;
-use voltboot_sram::{
-    clear_plane_cache, delta, plane_cache_stats, ArrayConfig, OffEvent, ResolutionMode, SramArray,
-    Temperature,
-};
+use voltboot_sram::{ArrayConfig, OffEvent, PlaneCache, SramArray, Temperature};
 
-static LOCK: Mutex<()> = Mutex::new(());
-
-fn cycle(s: &mut SramArray, mode: ResolutionMode, event: OffEvent) {
+fn cycle(s: &mut SramArray, cache: &PlaneCache, event: OffEvent) {
     s.power_off(event).unwrap();
     s.elapse(Duration::from_millis(5), Temperature::from_celsius(25.0));
-    s.power_on_with(mode).unwrap();
+    cache.enter(|| s.power_on()).unwrap();
 }
 
 /// A sweep over more virtual dies than the entry cap: the cache stays
@@ -26,15 +19,14 @@ fn cycle(s: &mut SramArray, mode: ResolutionMode, event: OffEvent) {
 /// while the oldest are shed (FIFO).
 #[test]
 fn fleet_sweep_stays_under_the_entry_cap() {
-    let _g = LOCK.lock().unwrap();
-    clear_plane_cache();
-    let before = plane_cache_stats();
+    let cache = PlaneCache::new();
+    let before = cache.stats();
     let overshoot = 40u64;
     for die in 0..MAX_CACHED_DIES as u64 + overshoot {
         let mut s = SramArray::new(ArrayConfig::with_bits("fleet", 256), 0xF_1EE7_0000 + die);
-        s.power_on().unwrap();
+        cache.enter(|| s.power_on()).unwrap();
     }
-    let stats = plane_cache_stats();
+    let stats = cache.stats();
     assert!(
         stats.entries <= MAX_CACHED_DIES,
         "cache must stay bounded, has {} entries",
@@ -46,7 +38,6 @@ fn fleet_sweep_stays_under_the_entry_cap() {
         before.plane_evictions,
         stats.plane_evictions
     );
-    clear_plane_cache();
 }
 
 /// Per-die baseline slots are FIFO-bounded: resolving more repeated
@@ -55,16 +46,15 @@ fn fleet_sweep_stays_under_the_entry_cap() {
 /// resolving byte-identically (checked against a dense twin).
 #[test]
 fn per_die_baseline_fifo_is_bounded_and_bit_exact() {
-    let _g = LOCK.lock().unwrap();
-    clear_plane_cache();
+    let (cache, dense_cache) = (PlaneCache::new(), PlaneCache::dense());
     let config = ArrayConfig::with_bits("fifo", 4096);
     let seed = 0xF1F0_u64;
     let mut sparse = SramArray::new(config.clone(), seed);
     let mut dense = SramArray::new(config, seed);
-    sparse.power_on().unwrap();
-    dense.power_on_with(ResolutionMode::BatchedFull).unwrap();
-    let before = plane_cache_stats();
-    let built_before = delta::stats().baselines_built;
+    cache.enter(|| sparse.power_on()).unwrap();
+    dense_cache.enter(|| dense.power_on()).unwrap();
+    let before = cache.stats();
+    let built_before = cache.delta_stats().baselines_built;
     // Seven distinct conditions, three reps each: each settles a
     // baseline on rep 2, overflowing the per-die FIFO (4 slots).
     for c in 0..7 {
@@ -73,12 +63,12 @@ fn per_die_baseline_fifo_is_bounded_and_bit_exact() {
             for s in [&mut sparse, &mut dense] {
                 s.fill(0x96).unwrap();
             }
-            cycle(&mut sparse, ResolutionMode::Batched, event);
-            cycle(&mut dense, ResolutionMode::BatchedFull, event);
+            cycle(&mut sparse, &cache, event);
+            cycle(&mut dense, &dense_cache, event);
             assert_eq!(sparse.snapshot().unwrap(), dense.snapshot().unwrap());
         }
     }
-    let stats = plane_cache_stats();
+    let stats = cache.stats();
     assert!(stats.baselines <= 4, "per-die FIFO must bound baselines, has {}", stats.baselines);
     assert!(
         stats.baseline_evictions >= before.baseline_evictions + 3,
@@ -86,8 +76,7 @@ fn per_die_baseline_fifo_is_bounded_and_bit_exact() {
         before.baseline_evictions,
         stats.baseline_evictions
     );
-    assert_eq!(delta::stats().baselines_built - built_before, 7, "one build per condition");
-    clear_plane_cache();
+    assert_eq!(cache.delta_stats().baselines_built - built_before, 7, "one build per condition");
 }
 
 /// The stats surface itself: occupancy (entries, cells, baselines,
@@ -95,12 +84,11 @@ fn per_die_baseline_fifo_is_bounded_and_bit_exact() {
 /// delta usage counters move when reps ride the sparse path.
 #[test]
 fn stats_reflect_settled_baselines() {
-    let _g = LOCK.lock().unwrap();
-    clear_plane_cache();
+    let cache = PlaneCache::new();
     let config = ArrayConfig::with_bits("stats", 8192);
     let mut s = SramArray::new(config, 0x57A75);
-    s.power_on().unwrap();
-    let reps_before = delta::stats().delta_reps;
+    cache.enter(|| s.power_on()).unwrap();
+    let reps_before = cache.delta_stats().delta_reps;
     // Cold partial-decay cycles: cold enough that the off interval is
     // inside the decay-budget distribution (room temperature would lose
     // everything and take the certainly-lost fast path instead).
@@ -108,9 +96,9 @@ fn stats_reflect_settled_baselines() {
         s.fill(0xC3).unwrap();
         s.power_off(OffEvent::unpowered()).unwrap();
         s.elapse(Duration::from_millis(20), Temperature::from_celsius(-110.0));
-        s.power_on_with(ResolutionMode::Batched).unwrap();
+        cache.enter(|| s.power_on()).unwrap();
     }
-    let stats = plane_cache_stats();
+    let stats = cache.stats();
     assert_eq!(stats.entries, 1);
     assert!(stats.cells >= 8192);
     assert_eq!(stats.baselines, 1, "one settled condition");
@@ -120,8 +108,7 @@ fn stats_reflect_settled_baselines() {
         "an unpowered 5 ms cycle at 25 C loses cells, so hot words exist"
     );
     assert!(
-        delta::stats().delta_reps >= reps_before + 2,
+        cache.delta_stats().delta_reps >= reps_before + 2,
         "reps 3..4 (post-build) ride the delta path"
     );
-    clear_plane_cache();
 }

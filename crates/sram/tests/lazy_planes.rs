@@ -3,39 +3,53 @@
 //! A die's planes hold three streams: power-up (built at first power-on),
 //! DRV and decay (each built on the first power cycle that consults it).
 //! These tests drive random event sequences through every resolution
-//! mode and check two things:
+//! path and check two things:
 //!
 //! * **Output.** `Batched` images and retained counts are bit-identical
-//!   to `Scalar` (the spec), to the dense oracles, and to the same
-//!   sequence replayed on an *eager* die — one whose DRV and decay streams
-//!   were forced before the sequence ran.
+//!   to `Scalar` (the spec), to the dense path (`Batched` under a dense
+//!   [`PlaneCache`]), and to the same sequence replayed on an *eager*
+//!   die — one whose DRV and decay streams were forced before the
+//!   sequence ran.
 //! * **Laziness.** A sequence builds the DRV stream iff it holds a rail
 //!   strictly between `drv_min` and `drv_max`, and the decay stream iff
 //!   it leaves a rail unpowered with a stress the array cannot already
 //!   decide; certainly-retained and certainly-lost sequences build
-//!   neither. Measured through the process-wide per-stream build
-//!   counters of [`plane_cache_stats`], so the tests in this file take
-//!   [`COUNTERS`] to keep each other's builds out of their deltas.
+//!   neither. Measured through the per-stream build counters of a
+//!   private [`PlaneCache`] per case, so concurrent cases never see each
+//!   other's builds.
 
 use proptest::prelude::*;
-use std::sync::Mutex;
 use std::time::Duration;
 use voltboot_sram::cell::CellDistribution;
 use voltboot_sram::{
-    plane_cache_stats, ArrayConfig, OffEvent, PackedBits, PowerState, ResolutionMode,
-    RetentionReport, SramArray, Temperature,
+    ArrayConfig, OffEvent, PackedBits, PlaneCache, PowerState, ResolutionMode, RetentionReport,
+    SramArray, Temperature,
 };
 
-/// Serializes the tests that read the global stream-build counters.
-static COUNTERS: Mutex<()> = Mutex::new(());
+/// One resolution path.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Path {
+    /// `ResolutionMode::Scalar`, the spec.
+    Scalar,
+    /// `Batched` under a dense cache: always the full-width dense scan.
+    Dense,
+    /// `Batched` under the current (delta) cache.
+    Delta,
+}
 
-/// `Scalar` first: every other mode is compared against it.
-const MODES: [ResolutionMode; 4] = [
-    ResolutionMode::Scalar,
-    ResolutionMode::BatchedWord,
-    ResolutionMode::BatchedFull,
-    ResolutionMode::Batched,
-];
+/// `Scalar` first: every other path is compared against it.
+const PATHS: [Path; 3] = [Path::Scalar, Path::Dense, Path::Delta];
+
+/// Powers `a` on along `path`; `dense` is the cache without the delta
+/// path that `Dense` power-ons run under.
+fn power_on(a: &mut SramArray, path: Path, dense: &PlaneCache) -> RetentionReport {
+    match path {
+        Path::Scalar => a.power_on_with(ResolutionMode::Scalar),
+        Path::Dense => dense.enter(|| a.power_on()),
+        Path::Delta => a.power_on(),
+    }
+    .unwrap()
+}
 
 /// One power cycle of a sequence.
 #[derive(Clone, Copy, Debug)]
@@ -112,21 +126,23 @@ struct Run {
     consults_decay: bool,
 }
 
-/// Runs `steps` on one fresh die per mode and asserts all modes agree
-/// after every step.
-fn run(seed: u64, config: &ArrayConfig, fill: u8, steps: &[Step]) -> Run {
+/// Runs `steps` on one fresh die per path and asserts all paths agree
+/// after every step. Every die's first power-on runs under the current
+/// cache, so the batched dies share one plane set and one count of
+/// stream builds.
+fn run(seed: u64, config: &ArrayConfig, fill: u8, steps: &[Step], dense: &PlaneCache) -> Run {
     let dist = config.distribution;
     let mut consults_drv = false;
     let mut consults_decay = false;
     let mut arrays: Vec<SramArray> =
-        MODES.iter().map(|_| SramArray::new(config.clone(), seed)).collect();
-    for (a, mode) in arrays.iter_mut().zip(MODES) {
-        a.power_on_with(mode).unwrap();
+        PATHS.iter().map(|_| SramArray::new(config.clone(), seed)).collect();
+    for (a, path) in arrays.iter_mut().zip(PATHS) {
+        power_on(a, if path == Path::Scalar { path } else { Path::Delta }, dense);
     }
     let mut trace = Vec::new();
     for (i, step) in steps.iter().enumerate() {
         let mut outcomes = Vec::new();
-        for (a, mode) in arrays.iter_mut().zip(MODES) {
+        for (a, path) in arrays.iter_mut().zip(PATHS) {
             a.fill(fill.wrapping_add(i as u8)).unwrap();
             step.power_off(a, &dist);
             let PowerState::Off { event, stress } = a.power_state() else { unreachable!() };
@@ -140,41 +156,41 @@ fn run(seed: u64, config: &ArrayConfig, fill: u8, steps: &[Step]) -> Run {
             if matches!(step, Step::UnpoweredLong) {
                 assert!(certainly_lost, "the long step must be certainly lost");
             }
-            let report = a.power_on_with(mode).unwrap();
+            let report = power_on(a, path, dense);
             outcomes.push((report, a.snapshot().unwrap()));
         }
-        for (mode, outcome) in MODES.iter().zip(&outcomes).skip(1) {
-            assert_eq!(outcomes[0].0, outcome.0, "step {i} {step:?}: scalar vs {mode:?} report");
-            assert!(outcomes[0].1 == outcome.1, "step {i} {step:?}: scalar vs {mode:?} image");
+        for (path, outcome) in PATHS.iter().zip(&outcomes).skip(1) {
+            assert_eq!(outcomes[0].0, outcome.0, "step {i} {step:?}: scalar vs {path:?} report");
+            assert!(outcomes[0].1 == outcome.1, "step {i} {step:?}: scalar vs {path:?} image");
         }
-        trace.push(outcomes.swap_remove(3));
+        trace.push(outcomes.swap_remove(2));
     }
     Run { outcomes: trace, consults_drv, consults_decay }
 }
 
-/// Per-stream build counters `(drv, decay)` since process start.
-fn stream_builds() -> (u64, u64) {
-    let s = plane_cache_stats();
+/// Per-stream build counters `(drv, decay)` of `cache`.
+fn stream_builds(cache: &PlaneCache) -> (u64, u64) {
+    let s = cache.stats();
     (s.drv_streams_built, s.decay_streams_built)
 }
 
 /// Forces the DRV and decay streams of the die `(seed, config)`: one
 /// drooping hold and one short unpowered interval on a scratch array
-/// of the same die, which shares its cached planes.
-fn force_streams(seed: u64, config: &ArrayConfig) {
+/// of the same die, which shares the current cache's planes.
+fn force_streams(seed: u64, config: &ArrayConfig, dense: &PlaneCache) {
     let dist = config.distribution;
     let mut a = SramArray::new(config.clone(), seed);
     a.power_on().unwrap();
     for step in [Step::HeldDroop((dist.drv_min + dist.drv_max) / 2.0), Step::UnpoweredCold(1)] {
         step.power_off(&mut a, &dist);
-        a.power_on_with(ResolutionMode::BatchedFull).unwrap();
+        power_on(&mut a, Path::Dense, dense);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Mixed sequences: `Batched` matches `Scalar` and the dense modes
+    /// Mixed sequences: `Batched` matches `Scalar` and the dense path
     /// on a lazy die, builds exactly the streams its steps consult, and
     /// matches the same sequence replayed once both streams exist.
     #[test]
@@ -185,21 +201,21 @@ proptest! {
         fill in any::<u8>(),
         picks in proptest::collection::vec((0usize..5, 0.0f64..1.0), 1..6),
     ) {
-        let _serial = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+        let (cache, dense) = (PlaneCache::new(), PlaneCache::dense());
         let mut config = ArrayConfig::with_bits("lazy-prop", bits);
         config.distribution = dist;
         let steps: Vec<Step> = picks.iter().map(|&(k, x)| Step::new(k, x, &dist)).collect();
 
-        let before = stream_builds();
-        let lazy = run(seed, &config, fill, &steps);
-        let after = stream_builds();
+        let before = stream_builds(&cache);
+        let lazy = cache.enter(|| run(seed, &config, fill, &steps, &dense));
+        let after = stream_builds(&cache);
         prop_assert_eq!(after.0 - before.0, u64::from(lazy.consults_drv), "DRV builds: {:?}", steps);
         prop_assert_eq!(after.1 - before.1, u64::from(lazy.consults_decay), "decay builds: {:?}", steps);
 
-        force_streams(seed, &config);
-        prop_assert_eq!(stream_builds(), (before.0 + 1, before.1 + 1), "both streams forced");
-        let eager = run(seed, &config, fill, &steps);
-        prop_assert_eq!(stream_builds(), (before.0 + 1, before.1 + 1), "eager die builds nothing");
+        cache.enter(|| force_streams(seed, &config, &dense));
+        prop_assert_eq!(stream_builds(&cache), (before.0 + 1, before.1 + 1), "both streams forced");
+        let eager = cache.enter(|| run(seed, &config, fill, &steps, &dense));
+        prop_assert_eq!(stream_builds(&cache), (before.0 + 1, before.1 + 1), "eager die builds nothing");
         for (i, (l, e)) in lazy.outcomes.iter().zip(&eager.outcomes).enumerate() {
             prop_assert_eq!(&l.0, &e.0, "step {} {:?}: lazy vs eager report", i, steps[i]);
             prop_assert!(l.1 == e.1, "step {} {:?}: lazy vs eager image", i, steps[i]);
@@ -216,12 +232,12 @@ proptest! {
         fill in any::<u8>(),
         picks in proptest::collection::vec((prop_oneof![Just(0usize), Just(2), Just(4)], 0.0f64..1.0), 1..6),
     ) {
-        let _serial = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+        let (cache, dense) = (PlaneCache::new(), PlaneCache::dense());
         let mut config = ArrayConfig::with_bits("certain-prop", bits);
         config.distribution = dist;
         let steps: Vec<Step> = picks.iter().map(|&(k, x)| Step::new(k, x, &dist)).collect();
-        let before = stream_builds();
-        run(seed, &config, fill, &steps);
-        prop_assert_eq!(stream_builds(), before, "bucket streams built for {:?}", steps);
+        let before = stream_builds(&cache);
+        cache.enter(|| run(seed, &config, fill, &steps, &dense));
+        prop_assert_eq!(stream_builds(&cache), before, "bucket streams built for {:?}", steps);
     }
 }

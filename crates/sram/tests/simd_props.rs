@@ -1,30 +1,51 @@
 //! Lane-width equivalence of the bit-sliced resolution kernels.
 //!
-//! The engine resolves power cycles through four interchangeable
-//! implementations: the per-bit scalar reference, the single-word
-//! (64-lane) kernel, the full-width 4×u64 (256-lane) kernel, and the
-//! rep-delta sparse path (`ResolutionMode::Batched` once a baseline has
-//! settled — cycle 2 of a repeated condition builds it, cycle 3+ rides
-//! it). Their contract is bit-for-bit equality — same images, same
-//! retention reports — for every `(seed, distribution, event, stress)`.
-//! These tests pin that four-way scalar == word == SIMD == delta
-//! equivalence across random dies *and* random process distributions
-//! (engine_props.rs only varies the die seed), and nail the ragged-tail
-//! cases where a lane straddles the array's end.
+//! The engine resolves power cycles through three interchangeable
+//! paths: the per-bit scalar reference, the full-width 4×u64 (256-lane)
+//! dense kernel (`ResolutionMode::Batched` under a dense
+//! [`PlaneCache`]), and the rep-delta sparse path (`Batched` under a
+//! delta cache once a baseline has settled — cycle 2 of a repeated
+//! condition builds it, cycle 3+ rides it). Their contract is
+//! bit-for-bit equality — same images, same retention reports — for
+//! every `(seed, distribution, event, stress)`. These tests pin that
+//! three-way scalar == SIMD == delta equivalence across random dies
+//! *and* random process distributions (engine_props.rs only varies the
+//! die seed), and nail the ragged-tail cases where a lane straddles the
+//! array's end. The single-word (64-lane) kernel is a test-only
+//! instantiation, held to the spec by the crate's own unit tests.
 
 use proptest::prelude::*;
 use std::time::Duration;
 use voltboot_sram::cell::CellDistribution;
-use voltboot_sram::{ArrayConfig, OffEvent, ResolutionMode, SramArray, Temperature};
+use voltboot_sram::{
+    ArrayConfig, OffEvent, PlaneCache, ResolutionMode, RetentionReport, SramArray, Temperature,
+};
 
-/// `Batched` (delta-eligible) last, so every cycle after the first
-/// compares the sparse path against the scalar/word/wide dense paths.
-const MODES: [ResolutionMode; 4] = [
-    ResolutionMode::Scalar,
-    ResolutionMode::BatchedWord,
-    ResolutionMode::BatchedFull,
-    ResolutionMode::Batched,
-];
+/// One resolution path.
+#[derive(Clone, Copy, Debug)]
+enum Path {
+    /// `ResolutionMode::Scalar`, the spec.
+    Scalar,
+    /// `Batched` under a dense cache: always the full-width dense scan.
+    Dense,
+    /// `Batched` under the process-default (delta) cache.
+    Delta,
+}
+
+/// `Delta` last, so every cycle after the first compares the sparse
+/// path against the scalar and dense paths.
+const PATHS: [Path; 3] = [Path::Scalar, Path::Dense, Path::Delta];
+
+/// Powers `a` on along `path`; `dense` is the cache without the delta
+/// path that every `Dense` power-on runs under.
+fn power_on(a: &mut SramArray, path: Path, dense: &PlaneCache) -> RetentionReport {
+    match path {
+        Path::Scalar => a.power_on_with(ResolutionMode::Scalar),
+        Path::Dense => dense.enter(|| a.power_on()),
+        Path::Delta => a.power_on(),
+    }
+    .unwrap()
+}
 
 /// Random but well-formed process distributions: every field finite,
 /// `drv_min < drv_max`, fractions in range. Spans dies much weaker and
@@ -52,9 +73,9 @@ fn off_events() -> impl Strategy<Value = OffEvent> {
     ]
 }
 
-/// Runs `cycles` identical power cycles on four clones of one die —
-/// scalar, single-word, 4-word, and delta-eligible — and asserts every
-/// report and image matches across all four. The first power-on
+/// Runs `cycles` identical power cycles on three clones of one die —
+/// scalar, dense 4-word, and delta-eligible — and asserts every report
+/// and image matches across all three. The first power-on
 /// exercises the pure sampling path; each cycle exercises decay/DRV
 /// resolution. With `cycles >= 3` the delta clone's last cycles ride a
 /// settled baseline (cycle 1 notes the condition, cycle 2 builds, 3+
@@ -68,11 +89,12 @@ fn assert_lane_widths_agree(
     celsius: f64,
     cycles: usize,
 ) {
+    let dense = PlaneCache::dense();
     let mut arrays: Vec<SramArray> =
-        MODES.iter().map(|_| SramArray::new(config.clone(), seed)).collect();
+        PATHS.iter().map(|_| SramArray::new(config.clone(), seed)).collect();
     let first: Vec<_> =
-        arrays.iter_mut().zip(MODES).map(|(a, mode)| a.power_on_with(mode).unwrap()).collect();
-    for (i, mode) in MODES.iter().enumerate().skip(1) {
+        arrays.iter_mut().zip(PATHS).map(|(a, path)| power_on(a, path, &dense)).collect();
+    for (i, mode) in PATHS.iter().enumerate().skip(1) {
         assert_eq!(first[0], first[i], "first power-up: scalar vs {mode:?}");
     }
     let image = arrays[0].snapshot().unwrap();
@@ -86,8 +108,8 @@ fn assert_lane_widths_agree(
             a.elapse(dt, Temperature::from_celsius(celsius));
         }
         let reports: Vec<_> =
-            arrays.iter_mut().zip(MODES).map(|(a, mode)| a.power_on_with(mode).unwrap()).collect();
-        for (i, mode) in MODES.iter().enumerate().skip(1) {
+            arrays.iter_mut().zip(PATHS).map(|(a, path)| power_on(a, path, &dense)).collect();
+        for (i, mode) in PATHS.iter().enumerate().skip(1) {
             assert_eq!(
                 reports[0], reports[i],
                 "cycle {cycle}: scalar vs {mode:?} ({event:?}, {dt:?}, {celsius} C)"
@@ -107,7 +129,7 @@ fn assert_lane_widths_agree(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// The central four-way equivalence: random seeds, random process
+    /// The central three-way equivalence: random seeds, random process
     /// distributions, random events and stress levels, three cycles
     /// each (cold planes, warm planes + baseline build, then a settled
     /// delta rep).
@@ -147,21 +169,19 @@ proptest! {
         c2 in -120.0f64..0.0,
     ) {
         let config = ArrayConfig::with_bits("simd-stress", bits);
+        let dense = PlaneCache::dense();
         let mut arrays: Vec<SramArray> =
-            MODES.iter().map(|_| SramArray::new(config.clone(), seed)).collect();
-        for (a, mode) in arrays.iter_mut().zip(MODES) {
-            a.power_on_with(mode).unwrap();
+            PATHS.iter().map(|_| SramArray::new(config.clone(), seed)).collect();
+        for (a, path) in arrays.iter_mut().zip(PATHS) {
+            power_on(a, path, &dense);
             a.fill(0x6C).unwrap();
             a.power_off(OffEvent::unpowered()).unwrap();
             a.elapse(Duration::from_millis(dt1_ms), Temperature::from_celsius(c1));
             a.elapse(Duration::from_millis(dt2_ms), Temperature::from_celsius(c2));
         }
-        let reports: Vec<_> = arrays
-            .iter_mut()
-            .zip(MODES)
-            .map(|(a, mode)| a.power_on_with(mode).unwrap())
-            .collect();
-        for i in 1..MODES.len() {
+        let reports: Vec<_> =
+            arrays.iter_mut().zip(PATHS).map(|(a, path)| power_on(a, path, &dense)).collect();
+        for i in 1..PATHS.len() {
             prop_assert_eq!(&reports[0], &reports[i]);
         }
         let image = arrays[0].snapshot().unwrap();
@@ -254,10 +274,11 @@ fn parallel_delta_steady_state_is_bit_exact() {
     voltboot_sram::par::with_budget(4, || {
         let seed = 0x9E37_DE17A;
         let event = OffEvent::held_with_droop(0.8, 0.35);
+        let dense_cache = PlaneCache::dense();
         let mut sparse = SramArray::new(config.clone(), seed);
         let mut dense = SramArray::new(config.clone(), seed);
         sparse.power_on_with(ResolutionMode::Batched).unwrap();
-        dense.power_on_with(ResolutionMode::BatchedFull).unwrap();
+        dense_cache.enter(|| dense.power_on()).unwrap();
         for cycle in 0..4 {
             for a in [&mut sparse, &mut dense] {
                 a.fill(0x5A).unwrap();
@@ -265,7 +286,7 @@ fn parallel_delta_steady_state_is_bit_exact() {
                 a.elapse(Duration::from_millis(5), Temperature::from_celsius(25.0));
             }
             let rs = sparse.power_on_with(ResolutionMode::Batched).unwrap();
-            let rd = dense.power_on_with(ResolutionMode::BatchedFull).unwrap();
+            let rd = dense_cache.enter(|| dense.power_on()).unwrap();
             assert_eq!(rs, rd, "cycle {cycle} reports differ");
             assert_eq!(
                 sparse.snapshot().unwrap(),
