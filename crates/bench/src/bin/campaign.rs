@@ -69,7 +69,7 @@
 
 use std::path::{Path, PathBuf};
 use voltboot::attack::VoltBootAttack;
-use voltboot::campaign::{Campaign, RepStatus, RetryPolicy};
+use voltboot::campaign::{Campaign, RepStatus, RetryPolicy, RunPlan};
 use voltboot::fault::{FaultPlan, FaultRates};
 use voltboot::telemetry::json::Value;
 use voltboot::telemetry::{export, parse, Recorder};
@@ -143,21 +143,21 @@ fn sweep_document(cfg: &SweepConfig) -> (Value, Recorder) {
     let mut sweeps = Vec::new();
     for (i, &rate) in SWEEP_RATES.iter().enumerate() {
         let campaign = build_campaign(cfg, i, rate);
-        // The parallel entry points run the sequential path at 1 thread,
-        // so every configuration goes through one dispatch.
+        // `execute` runs the sequential runner at 1 thread, so every
+        // configuration goes through one dispatch.
         let result = match &cfg.checkpoint {
             None => campaign.run_parallel(cfg.threads, victim(cfg.die_seed)),
             Some((stem, resume)) => {
                 let path = sweep_checkpoint(stem, i);
-                if *resume && path.exists() {
-                    campaign
-                        .resume_parallel(cfg.threads, &path, victim(cfg.die_seed))
-                        .unwrap_or_else(|e| panic!("resume from {}: {e}", path.display()))
+                let plan = RunPlan::new().threads(cfg.threads);
+                let plan = if *resume && path.exists() {
+                    plan.continue_from(&path)
                 } else {
-                    campaign
-                        .run_checkpointed_parallel(cfg.threads, &path, victim(cfg.die_seed))
-                        .unwrap_or_else(|e| panic!("checkpoint to {}: {e}", path.display()))
-                }
+                    plan.checkpoint(&path)
+                };
+                campaign
+                    .execute(&plan, victim(cfg.die_seed))
+                    .unwrap_or_else(|e| panic!("checkpoint {}: {e}", path.display()))
             }
         };
         let confidence = result.confidence_total();
@@ -568,11 +568,13 @@ fn resume_smoke(threads: usize) -> i32 {
 
     let path = std::env::temp_dir()
         .join(format!("voltboot_resume_smoke_{}.checkpoint", std::process::id()));
-    if let Err(e) = campaign.run_partial_parallel(threads, kill_at, &path, victim(die_seed)) {
+    let killed = RunPlan::new().threads(threads).checkpoint(&path).stop_after(kill_at);
+    if let Err(e) = campaign.execute(&killed, victim(die_seed)) {
         eprintln!("RESUME SMOKE FAIL: partial run did not checkpoint: {e}");
         return 1;
     }
-    let resumed = match campaign.resume_parallel(resume_threads, &path, victim(die_seed)) {
+    let resume = RunPlan::new().threads(resume_threads).continue_from(&path);
+    let resumed = match campaign.execute(&resume, victim(die_seed)) {
         Ok(result) => result.to_json(),
         Err(e) => {
             eprintln!("RESUME SMOKE FAIL: resume from {}: {e}", path.display());

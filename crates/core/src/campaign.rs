@@ -10,11 +10,13 @@
 //! (virtual-clock) backoff, and an exhausted repetition records a
 //! *partial* outcome — the campaign never panics and never aborts early.
 //!
-//! Long campaigns can **checkpoint** after every repetition
-//! ([`Campaign::run_checkpointed`]) and **resume** from where they were
-//! killed ([`Campaign::resume`]): because the fault plan is counter-mode
-//! and the telemetry clock is virtual, a resumed campaign's final report
-//! is *byte-identical* to the uninterrupted run's. A per-repetition
+//! Every run goes through one entry point, [`Campaign::execute`], driven
+//! by a [`RunPlan`]: which rep range, how many threads, which checkpoint
+//! file (started fresh or resumed), and an optional early stop. Long
+//! campaigns **checkpoint** after every repetition and **resume** from
+//! where they were killed: because the fault plan is counter-mode and
+//! the telemetry clock is virtual, a resumed campaign's final report is
+//! *byte-identical* to the uninterrupted run's. A per-repetition
 //! virtual-clock deadline ([`Campaign::deadline_ns`]) bounds how long a
 //! repetition may keep retrying before it records
 //! [`RepStatus::TimedOut`].
@@ -25,11 +27,12 @@
 //!
 //! Repetitions are independent by construction (counter-mode faults, a
 //! fresh victim per attempt, per-rep telemetry on the virtual clock), so
-//! campaigns also run **sharded across threads**
-//! ([`Campaign::run_parallel`] and friends): workers claim reps from a
-//! shared counter and a merger absorbs the results back in rep order,
-//! keeping the report and every checkpoint byte-identical to the
-//! sequential run's for any thread count.
+//! campaigns also run **sharded across threads** ([`RunPlan::threads`])
+//! and **across processes** ([`RunPlan::range`], recombined by
+//! [`merge_shards`]): workers claim reps from a shared counter and a
+//! merger absorbs the results back in rep order, keeping the report and
+//! every checkpoint byte-identical to the sequential runner's for any
+//! thread count. The sequential runner stays as that reference.
 //!
 //! Million-rep sweeps get their throughput from the SRAM engine's
 //! rep-delta path: the first repetitions against a die resolve densely
@@ -40,13 +43,13 @@
 //! baseline key, and fall back to the dense path — so reports,
 //! checkpoints, and shard merges stay byte-identical whether the sparse
 //! path ran or not. Workers resolve under the caller's
-//! [`PlaneCache`](voltboot_sram::PlaneCache).
+//! [`PlaneCache`].
 
 use crate::attack::{AttackContext, VoltBootAttack};
 use crate::fault::FaultPlan;
 use crate::recover::{self, ConfidenceMap};
 use std::collections::BTreeMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use voltboot_soc::Soc;
@@ -413,6 +416,79 @@ impl std::fmt::Display for ShardRange {
     }
 }
 
+/// What one [`Campaign::execute`] call runs: which reps, on how many
+/// threads, against which checkpoint, and where to stop. Built in
+/// builder style; [`RunPlan::new`] runs the whole campaign on one
+/// thread with no checkpoint.
+#[derive(Debug, Clone)]
+pub struct RunPlan {
+    range: Option<ShardRange>,
+    threads: usize,
+    checkpoint: Option<CheckpointStart>,
+    stop_after: Option<u64>,
+}
+
+/// How a plan uses its checkpoint file. Both variants carry the path,
+/// so a resume without a file to resume from cannot be expressed.
+#[derive(Debug, Clone)]
+enum CheckpointStart {
+    /// Start at the range's first rep and write the checkpoint after
+    /// every completed rep.
+    Fresh(PathBuf),
+    /// Continue from the checkpoint at the path, then keep writing it.
+    Resume(PathBuf),
+}
+
+impl Default for RunPlan {
+    fn default() -> Self {
+        RunPlan::new()
+    }
+}
+
+impl RunPlan {
+    /// The whole campaign, one thread, no checkpoint, run to the end.
+    pub fn new() -> Self {
+        RunPlan { range: None, threads: 1, checkpoint: None, stop_after: None }
+    }
+
+    /// Runs only the reps in `range` — one process's slice of a
+    /// campaign split across processes. The checkpoint carries `range`
+    /// as its shard header, and a full set of shard checkpoints
+    /// recombines through [`merge_shards`].
+    pub fn range(mut self, range: ShardRange) -> Self {
+        self.range = Some(range);
+        self
+    }
+
+    /// Runs the reps on `threads` workers; 0 or 1 runs them sequentially.
+    pub fn threads(mut self, threads: usize) -> Self {
+        self.threads = threads;
+        self
+    }
+
+    /// Starts the range afresh, writing a [`Checkpoint`] to `path`
+    /// after every completed rep, so a killed run can resume from it.
+    pub fn checkpoint(mut self, path: impl AsRef<Path>) -> Self {
+        self.checkpoint = Some(CheckpointStart::Fresh(path.as_ref().to_path_buf()));
+        self
+    }
+
+    /// Continues from the checkpoint at `path` and keeps checkpointing
+    /// to it, ending byte-identical to the uninterrupted run.
+    pub fn continue_from(mut self, path: impl AsRef<Path>) -> Self {
+        self.checkpoint = Some(CheckpointStart::Resume(path.as_ref().to_path_buf()));
+        self
+    }
+
+    /// Returns once the first `reps` reps of the range are done, leaving
+    /// the checkpoint behind — a run killed at that rep, for resume
+    /// tests and crash injection.
+    pub fn stop_after(mut self, reps: u64) -> Self {
+        self.stop_after = Some(reps);
+        self
+    }
+}
+
 /// A campaign checkpoint: everything a resumed run needs to continue
 /// from repetition `next_rep` and still produce a final report that is
 /// byte-identical to the uninterrupted run's — the completed records,
@@ -421,8 +497,8 @@ impl std::fmt::Display for ShardRange {
 /// payload; loading re-verifies it.
 ///
 /// The `shard` header records which rep range this checkpoint covers.
-/// A plain run's checkpoint covers `[0, reps)`; a
-/// [`Campaign::run_shard_parallel`] checkpoint covers its slice, and
+/// A plain run's checkpoint covers `[0, reps)`; a run under
+/// [`RunPlan::range`] covers its slice, and
 /// [`merge_shards`] recombines a full set of them into one report
 /// byte-identical to a single sequential run.
 #[derive(Debug, Clone)]
@@ -487,21 +563,6 @@ fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
         std::fs::write(path, contents)?;
     }
     Ok(())
-}
-
-/// Writes a checkpoint assembled from borrowed campaign state to `path`.
-#[allow(clippy::too_many_arguments)]
-fn save_checkpoint(
-    path: &Path,
-    fault_seed: u64,
-    reps: u64,
-    shard: ShardRange,
-    next_rep: u64,
-    records: &[RepRecord],
-    recorder: &Recorder,
-) -> Result<(), CampaignError> {
-    write_atomic(path, &render_checkpoint(fault_seed, reps, shard, next_rep, records, recorder))
-        .map_err(CampaignError::Io)
 }
 
 impl Checkpoint {
@@ -665,6 +726,35 @@ impl Drop for WorkerExit<'_> {
     }
 }
 
+/// A [`RunPlan`] resolved against its campaign and checkpoint: the range
+/// the run owns (its checkpoint header), the reps `next..end` still to
+/// execute, and the records and telemetry a resume carries in.
+struct Resolved<'p> {
+    shard: ShardRange,
+    next: u64,
+    end: u64,
+    records: Vec<RepRecord>,
+    recorder: Recorder,
+    checkpoint: Option<&'p Path>,
+}
+
+impl<'p> Resolved<'p> {
+    fn fresh(shard: ShardRange, end: u64, checkpoint: Option<&'p Path>) -> Self {
+        Resolved {
+            shard,
+            next: shard.start,
+            end,
+            records: Vec::new(),
+            recorder: Recorder::new(),
+            checkpoint,
+        }
+    }
+
+    fn pending(&self) -> u64 {
+        self.end.saturating_sub(self.next)
+    }
+}
+
 /// A campaign: one attack, one fault plan, N repetitions.
 #[derive(Debug, Clone)]
 pub struct Campaign {
@@ -720,101 +810,104 @@ impl Campaign {
         }
     }
 
-    /// Runs the campaign. `victim` builds a fresh, fully-prepared SoC
-    /// (powered on, victim software run) for every attempt; it receives
-    /// the repetition index so a campaign can vary the victim per rep
-    /// while staying deterministic.
+    /// Runs `plan`: the one entry point for whole, checkpointed,
+    /// resumed, sharded and partial runs. `victim` builds a fresh,
+    /// fully-prepared SoC for every attempt from the rep index; workers
+    /// call it concurrently, so it must be a pure function of that index.
     ///
-    /// Never panics on attempt failures: a repetition whose attempts are
-    /// exhausted records a partial outcome and the campaign moves on.
-    pub fn run(&self, victim: impl FnMut(u64) -> Soc) -> CampaignResult {
-        self.run_range(
-            ShardRange::whole(self.reps),
-            0,
-            self.reps,
-            Vec::new(),
-            Recorder::new(),
-            None,
-            victim,
-        )
-        .expect("no checkpoint configured, no i/o to fail")
+    /// The plan is validated here: its range must lie in `[0, reps)`,
+    /// and a resumed checkpoint must match this campaign's fault seed
+    /// and rep count and carry the plan's range as its shard header.
+    /// `threads` clamped to the pending reps then picks the runner: one
+    /// worker runs the sequential runner, more the parallel scheduler,
+    /// with byte-identical reports and checkpoints either way. Attempt
+    /// failures never panic: an exhausted rep records a partial outcome.
+    ///
+    /// # Errors
+    ///
+    /// [`CampaignError::Mismatch`] when the plan's range escapes the
+    /// campaign or a resumed checkpoint belongs to another campaign or
+    /// range; [`CampaignError::Corrupt`] / [`CampaignError::Io`] for
+    /// unloadable checkpoints and failed checkpoint writes.
+    pub fn execute(
+        &self,
+        plan: &RunPlan,
+        victim: impl Fn(u64) -> Soc + Sync,
+    ) -> Result<CampaignResult, CampaignError> {
+        let range = plan.range.unwrap_or(ShardRange::whole(self.reps));
+        if range.start > range.end || range.end > self.reps {
+            return Err(CampaignError::Mismatch {
+                detail: format!(
+                    "range {range} is not a sub-range of this campaign's [0, {})",
+                    self.reps
+                ),
+            });
+        }
+        let end =
+            plan.stop_after.map_or(range.end, |n| range.start.saturating_add(n).min(range.end));
+        let run = match &plan.checkpoint {
+            None => Resolved::fresh(range, end, None),
+            Some(CheckpointStart::Fresh(path)) => Resolved::fresh(range, end, Some(path)),
+            Some(CheckpointStart::Resume(path)) => {
+                let cp = self.load_resumable(path, range)?;
+                Resolved {
+                    shard: range,
+                    next: cp.next_rep,
+                    end,
+                    records: cp.records,
+                    recorder: cp.recorder,
+                    checkpoint: Some(path),
+                }
+            }
+        };
+        let workers = plan.threads.clamp(1, run.pending().clamp(1, 1024) as usize);
+        if workers == 1 {
+            self.run_range(run, victim)
+        } else {
+            self.run_range_parallel(run, workers, &victim)
+        }
     }
 
-    /// [`Campaign::run`], writing a [`Checkpoint`] to `path` after every
-    /// completed repetition, so a killed campaign can
-    /// [`Campaign::resume`] without losing (or re-running) finished reps.
+    /// The whole campaign on the sequential runner with no checkpoint —
+    /// [`Campaign::execute`] with a default [`RunPlan`], for a `victim`
+    /// that need not be `Sync`.
+    pub fn run(&self, victim: impl FnMut(u64) -> Soc) -> CampaignResult {
+        self.run_range(Resolved::fresh(ShardRange::whole(self.reps), self.reps, None), victim)
+            .expect("no checkpoint configured, no i/o to fail")
+    }
+
+    /// The whole campaign across `threads` workers with no checkpoint:
+    /// [`Campaign::execute`] with `RunPlan::new().threads(threads)`.
+    pub fn run_parallel(
+        &self,
+        threads: usize,
+        victim: impl Fn(u64) -> Soc + Sync,
+    ) -> CampaignResult {
+        self.execute(&RunPlan::new().threads(threads), victim)
+            .expect("no checkpoint configured, no i/o to fail")
+    }
+
+    /// [`Campaign::run_parallel`] writing a fresh [`Checkpoint`] to
+    /// `path` after every merged rep: [`Campaign::execute`] with
+    /// `RunPlan::new().threads(threads).checkpoint(path)`.
     ///
     /// # Errors
     ///
     /// [`CampaignError::Io`] when a checkpoint write fails.
-    pub fn run_checkpointed(
+    pub fn run_checkpointed_parallel(
         &self,
+        threads: usize,
         path: impl AsRef<Path>,
-        victim: impl FnMut(u64) -> Soc,
+        victim: impl Fn(u64) -> Soc + Sync,
     ) -> Result<CampaignResult, CampaignError> {
-        self.run_range(
-            ShardRange::whole(self.reps),
-            0,
-            self.reps,
-            Vec::new(),
-            Recorder::new(),
-            Some(path.as_ref()),
-            victim,
-        )
+        self.execute(&RunPlan::new().threads(threads).checkpoint(path), victim)
     }
 
-    /// Resumes a campaign from the checkpoint at `path` and runs it to
-    /// completion (checkpointing onward as it goes). The resumed run's
-    /// final report is byte-identical to what the uninterrupted run
-    /// would have produced: the fault plan is counter-mode (no stream
-    /// state to lose) and the checkpoint restores the full telemetry
-    /// state including the virtual clock.
-    ///
-    /// # Errors
-    ///
-    /// [`CampaignError::Mismatch`] when the checkpoint's seed or rep
-    /// count disagrees with this campaign; [`CampaignError::Corrupt`] /
-    /// [`CampaignError::Io`] for unloadable checkpoints.
-    pub fn resume(
-        &self,
-        path: impl AsRef<Path>,
-        victim: impl FnMut(u64) -> Soc,
-    ) -> Result<CampaignResult, CampaignError> {
-        let cp = self.load_validated(path.as_ref())?;
-        self.run_range(
-            cp.shard,
-            cp.next_rep,
-            self.reps,
-            cp.records,
-            cp.recorder,
-            Some(path.as_ref()),
-            victim,
-        )
-    }
-
-    /// Loads the checkpoint at `path` and validates it against this
-    /// campaign's configuration (shared by [`Campaign::resume`] and
-    /// [`Campaign::resume_parallel`]). Whole-campaign resume refuses a
-    /// shard checkpoint: a shard covers only its slice and must go
-    /// through [`Campaign::resume_shard_parallel`] / [`merge_shards`].
-    fn load_validated(&self, path: &Path) -> Result<Checkpoint, CampaignError> {
-        let cp = self.load_validated_shard(path)?;
-        if cp.shard != ShardRange::whole(self.reps) {
-            return Err(CampaignError::Mismatch {
-                detail: format!(
-                    "checkpoint covers shard {} of {} reps; resume it with \
-                     resume_shard_parallel or merge it with merge_shards",
-                    cp.shard, self.reps
-                ),
-            });
-        }
-        Ok(cp)
-    }
-
-    /// [`Campaign::load_validated`] without the whole-range requirement:
-    /// seed and rep count must match, the shard header may cover any
-    /// sub-range.
-    fn load_validated_shard(&self, path: &Path) -> Result<Checkpoint, CampaignError> {
+    /// Loads the checkpoint at `path` for a plan over `range`. Seed and
+    /// rep count must match this campaign and the shard header must
+    /// equal `range`: a checkpoint left by another range is refused, not
+    /// silently completed under the wrong header.
+    fn load_resumable(&self, path: &Path, range: ShardRange) -> Result<Checkpoint, CampaignError> {
         let cp = Checkpoint::load(path)?;
         if cp.fault_seed != self.plan.seed() {
             return Err(CampaignError::Mismatch {
@@ -830,289 +923,58 @@ impl Campaign {
                 detail: format!("{} reps in checkpoint, {} in campaign", cp.reps, self.reps),
             });
         }
+        if cp.shard != range {
+            return Err(CampaignError::Mismatch {
+                detail: format!(
+                    "checkpoint covers shard {} of {} reps but the plan runs {range}; resume it \
+                     with a plan over its own range or merge it with merge_shards",
+                    cp.shard, self.reps
+                ),
+            });
+        }
         Ok(cp)
     }
 
-    /// Runs only repetitions `0..upto` and leaves the checkpoint behind
-    /// — an interrupted campaign in miniature, for tests and the CI
-    /// resume-determinism smoke check.
-    ///
-    /// # Errors
-    ///
-    /// [`CampaignError::Io`] when a checkpoint write fails.
-    pub fn run_partial(
+    /// Writes a checkpoint of the run so far to `path`.
+    fn save_checkpoint(
         &self,
-        upto: u64,
-        path: impl AsRef<Path>,
-        victim: impl FnMut(u64) -> Soc,
+        path: &Path,
+        shard: ShardRange,
+        next_rep: u64,
+        records: &[RepRecord],
+        recorder: &Recorder,
     ) -> Result<(), CampaignError> {
-        let upto = upto.min(self.reps);
-        self.run_range(
-            ShardRange::whole(self.reps),
-            0,
-            upto,
-            Vec::new(),
-            Recorder::new(),
-            Some(path.as_ref()),
-            victim,
-        )
-        .map(|_| ())
+        let text =
+            render_checkpoint(self.plan.seed(), self.reps, shard, next_rep, records, recorder);
+        write_atomic(path, &text).map_err(CampaignError::Io)
     }
 
-    /// The sequential runner: executes repetitions `start..end`,
-    /// checkpointing each completed prefix under the `shard` header.
-    /// `shard` is the range this process *owns* (what the checkpoint
-    /// advertises); `end` may stop short of `shard.end` for partial
-    /// runs.
-    #[allow(clippy::too_many_arguments)]
+    /// The sequential runner: executes `run.next..run.end` in order,
+    /// checkpointing each completed prefix under the `run.shard` header.
+    /// It is also the reference every parallel, sharded and resumed run
+    /// is proven byte-identical against.
     fn run_range(
         &self,
-        shard: ShardRange,
-        start: u64,
-        end: u64,
-        mut records: Vec<RepRecord>,
-        rec: Recorder,
-        checkpoint: Option<&Path>,
+        run: Resolved<'_>,
         mut victim: impl FnMut(u64) -> Soc,
     ) -> Result<CampaignResult, CampaignError> {
         // Cap the pre-allocation: `reps` is attacker-controlled config
         // and a huge ask must not allocate gigabytes up front.
-        records.reserve(((end - start).min(1024)) as usize);
-        for rep in start..end {
+        let reserve = run.pending().min(1024) as usize;
+        let Resolved { shard, next, end, mut records, recorder: rec, checkpoint } = run;
+        records.reserve(reserve);
+        for rep in next..end {
             records.push(self.run_rep_contained(rep, &rec, &mut victim));
             self.note_rep_done();
             if let Some(path) = checkpoint {
-                save_checkpoint(path, self.plan.seed(), self.reps, shard, rep + 1, &records, &rec)?;
+                self.save_checkpoint(path, shard, rep + 1, &records, &rec)?;
             }
         }
         Ok(CampaignResult { plan: self.plan, reps: self.reps, records, recorder: rec })
     }
 
-    /// Runs the campaign with repetitions sharded across `threads`
-    /// worker threads.
-    ///
-    /// The scheduler is deterministic end-to-end, whatever the thread
-    /// count: each repetition draws its faults from the counter-mode
-    /// plan's per-rep sub-stream ([`FaultPlan::rep_stream`]), records
-    /// telemetry into a forked virtual-clock sub-recorder
-    /// (`Recorder::fork`), and the merger absorbs completed repetitions
-    /// strictly in rep order — so the returned [`CampaignResult`] and
-    /// its JSON report are **byte-identical** to [`Campaign::run`]'s.
-    /// `threads <= 1` runs the sequential path.
-    ///
-    /// `victim` is called concurrently from several workers; like the
-    /// sequential path it must be a pure function of the rep index for
-    /// the campaign to be deterministic.
-    pub fn run_parallel(
-        &self,
-        threads: usize,
-        victim: impl Fn(u64) -> Soc + Sync,
-    ) -> CampaignResult {
-        self.run_range_parallel(
-            ShardRange::whole(self.reps),
-            0,
-            self.reps,
-            Vec::new(),
-            Recorder::new(),
-            None,
-            threads,
-            &victim,
-        )
-        .expect("no checkpoint configured, no i/o to fail")
-    }
-
-    /// [`Campaign::run_parallel`] with a [`Checkpoint`] written to
-    /// `path` every time the merged prefix grows, exactly as
-    /// [`Campaign::run_checkpointed`] writes one per completed rep.
-    /// Only fully-merged rep prefixes are ever checkpointed, so a
-    /// checkpoint written by an N-thread run resumes correctly under
-    /// any thread count — in-flight reps simply re-run.
-    ///
-    /// # Errors
-    ///
-    /// [`CampaignError::Io`] when a checkpoint write fails.
-    pub fn run_checkpointed_parallel(
-        &self,
-        threads: usize,
-        path: impl AsRef<Path>,
-        victim: impl Fn(u64) -> Soc + Sync,
-    ) -> Result<CampaignResult, CampaignError> {
-        self.run_range_parallel(
-            ShardRange::whole(self.reps),
-            0,
-            self.reps,
-            Vec::new(),
-            Recorder::new(),
-            Some(path.as_ref()),
-            threads,
-            &victim,
-        )
-    }
-
-    /// Runs only the repetitions in `shard` — one process's slice of a
-    /// campaign distributed across several processes — checkpointing to
-    /// `path` with the shard-range header after every merged rep. The
-    /// returned result covers just this shard; a full set of shard
-    /// checkpoints recombines through [`merge_shards`] into a report
-    /// byte-identical to one sequential [`Campaign::run`] over the whole
-    /// campaign.
-    ///
-    /// Determinism needs nothing beyond what the single-process
-    /// scheduler already guarantees: the fault plan is counter-mode (a
-    /// rep's draws depend only on its index) and every rep records into
-    /// a fork of a fresh recorder, so a shard's merged telemetry equals
-    /// the sequential recorder state for exactly those reps.
-    ///
-    /// # Errors
-    ///
-    /// [`CampaignError::Mismatch`] when `shard` is not a sub-range of
-    /// `[0, reps)`; [`CampaignError::Io`] when a checkpoint write fails.
-    pub fn run_shard_parallel(
-        &self,
-        threads: usize,
-        shard: ShardRange,
-        path: impl AsRef<Path>,
-        victim: impl Fn(u64) -> Soc + Sync,
-    ) -> Result<CampaignResult, CampaignError> {
-        if shard.start > shard.end || shard.end > self.reps {
-            return Err(CampaignError::Mismatch {
-                detail: format!(
-                    "shard {shard} is not a sub-range of this campaign's [0, {})",
-                    self.reps
-                ),
-            });
-        }
-        self.run_range_parallel(
-            shard,
-            shard.start,
-            shard.end,
-            Vec::new(),
-            Recorder::new(),
-            Some(path.as_ref()),
-            threads,
-            &victim,
-        )
-    }
-
-    /// Runs only the first `upto` repetitions *of the shard* (clamped
-    /// to the shard's length) and leaves the checkpoint behind — a
-    /// shard process killed mid-range in miniature, for the supervised
-    /// dispatch retry tests and the crash-recovery smoke gate.
-    ///
-    /// # Errors
-    ///
-    /// As [`Campaign::run_shard_parallel`].
-    pub fn run_shard_partial_parallel(
-        &self,
-        threads: usize,
-        shard: ShardRange,
-        upto: u64,
-        path: impl AsRef<Path>,
-        victim: impl Fn(u64) -> Soc + Sync,
-    ) -> Result<(), CampaignError> {
-        if shard.start > shard.end || shard.end > self.reps {
-            return Err(CampaignError::Mismatch {
-                detail: format!(
-                    "shard {shard} is not a sub-range of this campaign's [0, {})",
-                    self.reps
-                ),
-            });
-        }
-        let end = shard.start.saturating_add(upto).min(shard.end);
-        self.run_range_parallel(
-            shard,
-            shard.start,
-            end,
-            Vec::new(),
-            Recorder::new(),
-            Some(path.as_ref()),
-            threads,
-            &victim,
-        )
-        .map(|_| ())
-    }
-
-    /// Resumes a killed shard run from its checkpoint and completes the
-    /// shard's range (the shard analogue of [`Campaign::resume_parallel`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`Campaign::resume`], except a shard header is accepted.
-    pub fn resume_shard_parallel(
-        &self,
-        threads: usize,
-        path: impl AsRef<Path>,
-        victim: impl Fn(u64) -> Soc + Sync,
-    ) -> Result<CampaignResult, CampaignError> {
-        let cp = self.load_validated_shard(path.as_ref())?;
-        self.run_range_parallel(
-            cp.shard,
-            cp.next_rep,
-            cp.shard.end,
-            cp.records,
-            cp.recorder,
-            Some(path.as_ref()),
-            threads,
-            &victim,
-        )
-    }
-
-    /// [`Campaign::resume`] across `threads` workers. Checkpoints
-    /// compose across thread counts: the checkpoint stores only the
-    /// merged rep prefix plus the absorbed telemetry, which is the same
-    /// state the sequential runner would have at that rep.
-    ///
-    /// # Errors
-    ///
-    /// As [`Campaign::resume`].
-    pub fn resume_parallel(
-        &self,
-        threads: usize,
-        path: impl AsRef<Path>,
-        victim: impl Fn(u64) -> Soc + Sync,
-    ) -> Result<CampaignResult, CampaignError> {
-        let cp = self.load_validated(path.as_ref())?;
-        self.run_range_parallel(
-            cp.shard,
-            cp.next_rep,
-            self.reps,
-            cp.records,
-            cp.recorder,
-            Some(path.as_ref()),
-            threads,
-            &victim,
-        )
-    }
-
-    /// [`Campaign::run_partial`] across `threads` workers — runs only
-    /// repetitions `0..upto` and leaves the checkpoint behind, for the
-    /// cross-thread-count resume tests and CI smoke.
-    ///
-    /// # Errors
-    ///
-    /// [`CampaignError::Io`] when a checkpoint write fails.
-    pub fn run_partial_parallel(
-        &self,
-        threads: usize,
-        upto: u64,
-        path: impl AsRef<Path>,
-        victim: impl Fn(u64) -> Soc + Sync,
-    ) -> Result<(), CampaignError> {
-        let upto = upto.min(self.reps);
-        self.run_range_parallel(
-            ShardRange::whole(self.reps),
-            0,
-            upto,
-            Vec::new(),
-            Recorder::new(),
-            Some(path.as_ref()),
-            threads,
-            &victim,
-        )
-        .map(|_| ())
-    }
-
-    /// The parallel scheduler behind the `*_parallel` entry points.
+    /// The parallel scheduler: runs `run.next..run.end` across `workers`
+    /// (at least two) threads.
     ///
     /// Workers claim repetition indices from a shared atomic counter
     /// (work stealing in its simplest form: a fast rep frees its worker
@@ -1121,30 +983,22 @@ impl Campaign {
     /// results map. The calling thread is the merger: it absorbs
     /// results strictly in rep order, which rebuilds the exact counter,
     /// event, and clock state the sequential loop would have — and
-    /// checkpoints each newly merged prefix.
+    /// checkpoints each newly merged prefix. Only merged prefixes are
+    /// checkpointed, so in-flight reps of a killed run simply re-run.
     ///
     /// Worker panics cannot deadlock the merger: a drop guard
     /// decrements the live-worker count and wakes the merger, which
     /// stops waiting for reps that will never arrive and lets the scope
     /// propagate the panic.
-    #[allow(clippy::too_many_arguments)]
     fn run_range_parallel(
         &self,
-        shard: ShardRange,
-        start: u64,
-        end: u64,
-        mut records: Vec<RepRecord>,
-        rec: Recorder,
-        checkpoint: Option<&Path>,
-        threads: usize,
+        run: Resolved<'_>,
+        workers: usize,
         victim: &(impl Fn(u64) -> Soc + Sync),
     ) -> Result<CampaignResult, CampaignError> {
-        let pending = end.saturating_sub(start);
-        let workers = threads.clamp(1, pending.clamp(1, 1024) as usize);
-        if workers <= 1 {
-            return self.run_range(shard, start, end, records, rec, checkpoint, victim);
-        }
-        records.reserve((pending.min(1024)) as usize);
+        let reserve = run.pending().min(1024) as usize;
+        let Resolved { shard, next: start, end, mut records, recorder: rec, checkpoint } = run;
+        records.reserve(reserve);
         // Rep-level and word-level parallelism share one conceptual
         // pool: each worker's inner fan-out gets an equal slice of the
         // machine instead of multiplying it.
@@ -1209,16 +1063,7 @@ impl Campaign {
                 self.note_rep_done();
                 if save_err.is_none() {
                     if let Some(path) = checkpoint {
-                        save_err = save_checkpoint(
-                            path,
-                            self.plan.seed(),
-                            self.reps,
-                            shard,
-                            merged,
-                            &records,
-                            &rec,
-                        )
-                        .err();
+                        save_err = self.save_checkpoint(path, shard, merged, &records, &rec).err();
                         if save_err.is_some() {
                             // Checkpointing broke: stop handing out new
                             // reps (workers drain what they claimed) and
@@ -1463,7 +1308,7 @@ impl ShardMerge {
 }
 
 /// Merges a complete set of shard checkpoints — written by separate
-/// [`Campaign::run_shard_parallel`] *processes* — back into one
+/// *processes*, each executing a [`RunPlan::range`] — back into one
 /// campaign whose report is byte-identical to a single sequential
 /// [`Campaign::run`] over `[0, reps)`.
 ///

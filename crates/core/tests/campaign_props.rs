@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use voltboot::attack::VoltBootAttack;
-use voltboot::campaign::{Campaign, RetryPolicy};
+use voltboot::campaign::{merge_shards, Campaign, RetryPolicy, RunPlan, ShardRange};
 use voltboot::fault::{FaultPlan, FaultRates};
 use voltboot::telemetry::export;
 use voltboot_armlite::program::builders;
@@ -118,13 +118,17 @@ proptest! {
 
     /// A campaign killed at rep k under one thread count resumes under
     /// another to the uninterrupted run's exact bytes — both directions
-    /// (checkpoint at 4 threads, resume at 1, and vice versa).
+    /// (checkpoint at 4 threads, resume at 1, and vice versa). The same
+    /// holds per shard: `[0,s)` and `[s,reps)`, each killed at its own
+    /// rep and resumed at the other thread count, merge to those bytes.
     #[test]
     fn kill_at_rep_k_resumes_across_thread_counts(
         seed in any::<u64>(),
         reps in 2u64..=6,
         k in 1u64..=5,
         faulty in any::<bool>(),
+        split in 1u64..=5,
+        stops in (1u64..=5, 1u64..=5),
     ) {
         let k = k.min(reps - 1);
         let campaign = make(seed, faulty, 3, reps);
@@ -135,13 +139,41 @@ proptest! {
             std::process::id()
         ));
 
-        campaign.run_partial_parallel(4, k, &path, victim).unwrap();
-        let resumed_seq = campaign.resume_parallel(1, &path, victim).unwrap().to_json();
+        let killed =
+            |threads: usize| RunPlan::new().threads(threads).checkpoint(&path).stop_after(k);
+        let resume = |threads: usize| RunPlan::new().threads(threads).continue_from(&path);
+
+        campaign.execute(&killed(4), victim).unwrap();
+        let resumed_seq = campaign.execute(&resume(1), victim).unwrap().to_json();
         prop_assert_eq!(&resumed_seq, &want, "4-thread checkpoint, 1-thread resume");
 
-        campaign.run_partial_parallel(1, k, &path, victim).unwrap();
-        let resumed_par = campaign.resume_parallel(4, &path, victim).unwrap().to_json();
+        campaign.execute(&killed(1), victim).unwrap();
+        let resumed_par = campaign.execute(&resume(4), victim).unwrap().to_json();
         prop_assert_eq!(&resumed_par, &want, "1-thread checkpoint, 4-thread resume");
         std::fs::remove_file(&path).ok();
+
+        let split = split.min(reps - 1);
+        let shards = [
+            (ShardRange { start: 0, end: split }, stops.0, (4usize, 1usize)),
+            (ShardRange { start: split, end: reps }, stops.1, (1, 4)),
+        ];
+        let mut paths = Vec::new();
+        for (i, (range, stop, (kill_threads, resume_threads))) in shards.into_iter().enumerate() {
+            let shard_path = path.with_extension(format!("shard{i}"));
+            let plan = RunPlan::new().range(range);
+            let kill = plan.clone().threads(kill_threads).checkpoint(&shard_path).stop_after(stop);
+            campaign.execute(&kill, victim).unwrap();
+            let finish = plan.threads(resume_threads).continue_from(&shard_path);
+            campaign.execute(&finish, victim).unwrap();
+            paths.push(shard_path);
+        }
+        let merged = merge_shards(&paths).unwrap().to_json();
+        prop_assert_eq!(
+            &merged, &want,
+            "shards [0,{}) and [{},{}) killed and resumed", split, split, reps
+        );
+        for p in &paths {
+            std::fs::remove_file(p).ok();
+        }
     }
 }

@@ -15,7 +15,7 @@
 //! — so the tests share no dies, baselines or counters.
 
 use voltboot::attack::VoltBootAttack;
-use voltboot::campaign::{merge_shards, Campaign, RetryPolicy, ShardRange};
+use voltboot::campaign::{merge_shards, Campaign, RetryPolicy, RunPlan, ShardRange};
 use voltboot::fault::{FaultPlan, FaultRates};
 use voltboot_armlite::program::builders;
 use voltboot_soc::{devices, Soc};
@@ -76,9 +76,10 @@ fn delta_checkpoints_resumes_and_shards_byte_match_full_campaigns() {
     let p_off = temp("off");
     let (want, want_cp) = PlaneCache::dense().enter(|| {
         let want = campaign.run(victim).to_json();
-        campaign.run_partial(3, &p_off, victim).unwrap();
+        campaign.execute(&RunPlan::new().checkpoint(&p_off).stop_after(3), victim).unwrap();
         let want_cp = std::fs::read_to_string(&p_off).unwrap();
-        let resumed_off = campaign.resume(&p_off, victim).unwrap().to_json();
+        let resumed_off =
+            campaign.execute(&RunPlan::new().continue_from(&p_off), victim).unwrap().to_json();
         assert_eq!(resumed_off, want, "dense kill/resume must reproduce the dense report");
         (want, want_cp)
     });
@@ -88,17 +89,19 @@ fn delta_checkpoints_resumes_and_shards_byte_match_full_campaigns() {
     PlaneCache::new().enter(|| {
         // Kill at rep 3, byte-compare the checkpoint itself, then resume
         // under a different thread count.
-        campaign.run_partial(3, &p_on, victim).unwrap();
+        campaign.execute(&RunPlan::new().checkpoint(&p_on).stop_after(3), victim).unwrap();
         let got_cp = std::fs::read_to_string(&p_on).unwrap();
         assert_eq!(got_cp, want_cp, "delta-path checkpoint must byte-match the dense checkpoint");
-        let resumed_on = campaign.resume_parallel(2, &p_on, victim).unwrap().to_json();
+        let resume = RunPlan::new().threads(2).continue_from(&p_on);
+        let resumed_on = campaign.execute(&resume, victim).unwrap().to_json();
         assert_eq!(resumed_on, want, "delta kill/resume across thread counts");
 
         // Shard halves (separate checkpoints, as separate processes
         // would write them) merged back — still byte-identical to dense
         // sequential.
-        campaign.run_shard_parallel(2, ShardRange { start: 0, end: 3 }, &lo, victim).unwrap();
-        campaign.run_shard_parallel(2, ShardRange { start: 3, end: 6 }, &hi, victim).unwrap();
+        let shard = |start, end| RunPlan::new().threads(2).range(ShardRange { start, end });
+        campaign.execute(&shard(0, 3).checkpoint(&lo), victim).unwrap();
+        campaign.execute(&shard(3, 6).checkpoint(&hi), victim).unwrap();
         let merged = merge_shards(&[&lo, &hi]).unwrap();
         assert_eq!(merged.to_json(), want, "delta shard merge must byte-match dense sequential");
     });

@@ -10,7 +10,7 @@
 //! than racing other tests' observations.
 
 use voltboot::attack::VoltBootAttack;
-use voltboot::campaign::{Campaign, RetryPolicy};
+use voltboot::campaign::{Campaign, RetryPolicy, RunPlan};
 use voltboot::fault::{FaultPlan, FaultRates};
 use voltboot_armlite::program::builders;
 use voltboot_soc::{devices, Soc};
@@ -52,9 +52,10 @@ fn deterministic_surface(tag: &str) -> Vec<String> {
     let waves = export::waveforms_csv(&result.recorder);
 
     let path = checkpoint_path(tag);
-    campaign.run_partial(3, &path, victim).expect("partial run");
+    campaign.execute(&RunPlan::new().checkpoint(&path).stop_after(3), victim).expect("partial run");
     let checkpoint = std::fs::read_to_string(&path).expect("read checkpoint");
-    let resumed = campaign.resume(&path, victim).expect("resume").to_json();
+    let resumed =
+        campaign.execute(&RunPlan::new().continue_from(&path), victim).expect("resume").to_json();
     std::fs::remove_file(&path).ok();
 
     let parallel = campaign.run_parallel(4, victim).to_json();

@@ -7,7 +7,7 @@
 //! `campaign_props.rs`; these run everywhere.
 
 use voltboot::attack::VoltBootAttack;
-use voltboot::campaign::{Campaign, CampaignError, RetryPolicy};
+use voltboot::campaign::{Campaign, CampaignError, RetryPolicy, RunPlan};
 use voltboot::fault::{FaultPlan, FaultRates};
 use voltboot_armlite::program::builders;
 use voltboot_soc::{devices, Soc};
@@ -51,7 +51,7 @@ fn parallel_checkpoints_are_byte_identical_to_sequential() {
     let p_seq = temp("seq");
     let p_par = temp("par");
 
-    let seq = campaign.run_checkpointed(&p_seq, victim).unwrap().to_json();
+    let seq = campaign.execute(&RunPlan::new().checkpoint(&p_seq), victim).unwrap().to_json();
     let cp_seq = std::fs::read_to_string(&p_seq).unwrap();
     let par = campaign.run_checkpointed_parallel(4, &p_par, victim).unwrap().to_json();
     let cp_par = std::fs::read_to_string(&p_par).unwrap();
@@ -70,17 +70,19 @@ fn checkpoints_resume_across_thread_counts() {
     let path = temp("cross");
 
     // Killed at rep 2 by a 4-thread run, resumed sequentially.
-    campaign.run_partial_parallel(4, 2, &path, victim).unwrap();
-    let a = campaign.resume(&path, victim).unwrap().to_json();
+    let killed = |threads: usize| RunPlan::new().threads(threads).checkpoint(&path).stop_after(2);
+    let resume = |threads: usize| RunPlan::new().threads(threads).continue_from(&path);
+    campaign.execute(&killed(4), victim).unwrap();
+    let a = campaign.execute(&resume(1), victim).unwrap().to_json();
     assert_eq!(a, want, "4-thread checkpoint must resume sequentially with no drift");
 
     // Killed at rep 2 by a sequential run, resumed with 4 threads.
-    campaign.run_partial(2, &path, victim).unwrap();
-    let b = campaign.resume_parallel(4, &path, victim).unwrap().to_json();
+    campaign.execute(&killed(1), victim).unwrap();
+    let b = campaign.execute(&resume(4), victim).unwrap().to_json();
     assert_eq!(b, want, "sequential checkpoint must resume under 4 threads with no drift");
 
     // The parallel path applies the same checkpoint validation.
-    let err = make(8, 4).resume_parallel(2, &path, victim).unwrap_err();
+    let err = make(8, 4).execute(&resume(2), victim).unwrap_err();
     assert!(matches!(err, CampaignError::Mismatch { .. }), "got {err:?}");
     std::fs::remove_file(&path).ok();
 }

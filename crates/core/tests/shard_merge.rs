@@ -14,7 +14,7 @@
 
 use voltboot::attack::VoltBootAttack;
 use voltboot::campaign::{
-    merge_shards, Campaign, CampaignError, RepStatus, RetryPolicy, ShardRange,
+    merge_shards, Campaign, CampaignError, RepStatus, RetryPolicy, RunPlan, ShardRange,
 };
 use voltboot::fault::{FaultPlan, FaultRates};
 use voltboot_armlite::program::builders;
@@ -37,6 +37,11 @@ fn make(fault_seed: u64, reps: u64) -> Campaign {
     .retry(RetryPolicy { max_attempts: 2, initial_backoff_ns: 1_000_000 })
 }
 
+/// A fresh checkpointed run of shard `[start, end)` on `threads` workers.
+fn shard(threads: usize, start: u64, end: u64, path: &std::path::Path) -> RunPlan {
+    RunPlan::new().threads(threads).range(ShardRange { start, end }).checkpoint(path)
+}
+
 fn temp(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir()
         .join(format!("voltboot_test_shard_{tag}_{}.checkpoint", std::process::id()))
@@ -50,8 +55,8 @@ fn two_shards_merge_byte_identical_to_sequential() {
 
     let lo = temp("lo");
     let hi = temp("hi");
-    campaign.run_shard_parallel(2, ShardRange { start: 0, end: 3 }, &lo, victim).unwrap();
-    campaign.run_shard_parallel(3, ShardRange { start: 3, end: 6 }, &hi, victim).unwrap();
+    campaign.execute(&shard(2, 0, 3, &lo), victim).unwrap();
+    campaign.execute(&shard(3, 3, 6, &hi), victim).unwrap();
 
     // Merge order must not matter: shards are sorted by range.
     let merged = merge_shards(&[&hi, &lo]).unwrap();
@@ -72,8 +77,8 @@ fn merge_rejects_gaps_overlaps_and_incomplete_shards() {
 
     let lo = temp("val_lo");
     let hi = temp("val_hi");
-    campaign.run_shard_parallel(1, ShardRange { start: 0, end: 2 }, &lo, victim).unwrap();
-    campaign.run_shard_parallel(1, ShardRange { start: 4, end: 6 }, &hi, victim).unwrap();
+    campaign.execute(&shard(1, 0, 2, &lo), victim).unwrap();
+    campaign.execute(&shard(1, 4, 6, &hi), victim).unwrap();
 
     // [0,2) + [4,6) leaves a hole at [2,4).
     assert!(matches!(merge_shards(&[&lo, &hi]), Err(CampaignError::Mismatch { .. })));
@@ -85,8 +90,9 @@ fn merge_rejects_gaps_overlaps_and_incomplete_shards() {
     // A shard killed mid-range must be resumed before merging.
     let partial = temp("val_partial");
     let mid = temp("val_mid");
-    campaign.run_partial(1, &partial, victim).unwrap(); // whole-range header, next_rep = 1
-    campaign.run_shard_parallel(1, ShardRange { start: 2, end: 4 }, &mid, victim).unwrap();
+    // Whole-range header, next_rep = 1.
+    campaign.execute(&RunPlan::new().checkpoint(&partial).stop_after(1), victim).unwrap();
+    campaign.execute(&shard(1, 2, 4, &mid), victim).unwrap();
     assert!(matches!(merge_shards(&[&partial]), Err(CampaignError::Mismatch { .. })));
 
     for p in [&lo, &hi, &partial, &mid] {
@@ -102,11 +108,13 @@ fn shards_resume_after_being_killed() {
 
     let lo = temp("res_lo");
     let hi = temp("res_hi");
-    campaign.run_shard_parallel(2, ShardRange { start: 0, end: 3 }, &lo, victim).unwrap();
+    campaign.execute(&shard(2, 0, 3, &lo), victim).unwrap();
     // The high shard writes its checkpoint, then the "process" is
     // killed and a fresh one resumes from the file alone.
-    campaign.run_shard_parallel(2, ShardRange { start: 3, end: 6 }, &hi, victim).unwrap();
-    let resumed = campaign.resume_shard_parallel(4, &hi, victim).unwrap();
+    campaign.execute(&shard(2, 3, 6, &hi), victim).unwrap();
+    let resume =
+        RunPlan::new().threads(4).range(ShardRange { start: 3, end: 6 }).continue_from(&hi);
+    let resumed = campaign.execute(&resume, victim).unwrap();
     assert_eq!(resumed.records.len(), 3, "resuming a finished shard re-runs nothing");
 
     let merged = merge_shards(&[&lo, &hi]).unwrap();
@@ -161,8 +169,8 @@ fn panicking_shard_still_merges() {
 
     let lo = temp("panic_lo");
     let hi = temp("panic_hi");
-    campaign.run_shard_parallel(2, ShardRange { start: 0, end: 2 }, &lo, victim).unwrap();
-    campaign.run_shard_parallel(2, ShardRange { start: 2, end: 4 }, &hi, victim).unwrap();
+    campaign.execute(&shard(2, 0, 2, &lo), victim).unwrap();
+    campaign.execute(&shard(2, 2, 4, &hi), victim).unwrap();
     let merged = merge_shards(&[&lo, &hi]).unwrap();
     assert_eq!(merged.to_json(), want, "a contained panic must not break shard merging");
 

@@ -17,7 +17,8 @@
 //!   checkpoints.
 //! * `shard` runs repetitions `[A, B)` of the spec'd campaign in this
 //!   process, checkpointing to `PATH`; if `PATH` already holds a
-//!   partial shard it resumes instead. Separate shard processes over
+//!   partial shard of `[A, B)` it resumes instead, and a checkpoint of
+//!   any other range fails the shard. Separate shard processes over
 //!   disjoint ranges recombine with `merge-shards`.
 //! * `merge-shards` merges a complete set of shard checkpoints into
 //!   one report, byte-identical to a single sequential run.
@@ -59,7 +60,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::Duration;
 
-use voltboot::campaign::{merge_shards, RetryPolicy, ShardRange};
+use voltboot::campaign::{merge_shards, RetryPolicy, RunPlan, ShardRange};
 use voltboot_server::{Client, ReconnectPolicy, Server, ServerOptions, SweepSpec};
 
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
@@ -161,26 +162,17 @@ fn shard(args: &[String]) -> i32 {
         eprintln!("shard {range}: VOLTBOOT_SHARD_CRASH_ALWAYS, exiting 42");
         return 42;
     }
+    let plan = RunPlan::new().threads(spec.threads).range(range);
     if !checkpoint.exists() {
-        if let Some(k) = env_reps("VOLTBOOT_SHARD_CRASH_ONCE") {
-            let partial = campaign.run_shard_partial_parallel(
-                spec.threads,
-                range,
-                k,
-                &checkpoint,
-                spec.victim(),
-            );
-            eprintln!("shard {range}: VOLTBOOT_SHARD_CRASH_ONCE={k} ({partial:?}), exiting 42");
-            return 42;
-        }
-        if let Some(k) = env_reps("VOLTBOOT_SHARD_HANG_ONCE") {
-            let partial = campaign.run_shard_partial_parallel(
-                spec.threads,
-                range,
-                k,
-                &checkpoint,
-                spec.victim(),
-            );
+        let crash = env_reps("VOLTBOOT_SHARD_CRASH_ONCE");
+        if let Some(k) = crash.or_else(|| env_reps("VOLTBOOT_SHARD_HANG_ONCE")) {
+            let partial = campaign
+                .execute(&plan.checkpoint(&checkpoint).stop_after(k), spec.victim())
+                .map(|_| ());
+            if crash.is_some() {
+                eprintln!("shard {range}: VOLTBOOT_SHARD_CRASH_ONCE={k} ({partial:?}), exiting 42");
+                return 42;
+            }
             eprintln!("shard {range}: VOLTBOOT_SHARD_HANG_ONCE={k} ({partial:?}), wedging");
             loop {
                 std::thread::sleep(Duration::from_secs(3600));
@@ -188,12 +180,14 @@ fn shard(args: &[String]) -> i32 {
         }
     }
 
-    let result = if checkpoint.exists() {
-        campaign.resume_shard_parallel(spec.threads, &checkpoint, spec.victim())
+    // The checkpoint's shard header must equal `range`: a file left by
+    // another range fails with a mismatch instead of being completed.
+    let plan = if checkpoint.exists() {
+        plan.continue_from(&checkpoint)
     } else {
-        campaign.run_shard_parallel(spec.threads, range, &checkpoint, spec.victim())
+        plan.checkpoint(&checkpoint)
     };
-    match result {
+    match campaign.execute(&plan, spec.victim()) {
         Ok(result) => {
             println!(
                 "shard {range} done: {} records, checkpoint {}",

@@ -11,14 +11,16 @@
 //! splits the work three ways:
 //!
 //! * **In-process parallelism** — each job runs through
-//!   [`voltboot::campaign::Campaign::run_checkpointed_parallel`], the
-//!   rep-order merging scheduler whose reports are byte-identical at
-//!   any thread count.
+//!   [`voltboot::campaign::Campaign::execute`] with a checkpointed
+//!   [`voltboot::campaign::RunPlan`] (resumed when a restarted daemon
+//!   finds the job's checkpoint), on the rep-order merging scheduler
+//!   whose reports are byte-identical at any thread count.
 //! * **Cross-process sharding** — the `shard` subcommand runs one rep
 //!   range `[start, end)` into a checkpoint whose header records the
-//!   range; [`voltboot::campaign::merge_shards`] recombines a complete
-//!   set of shard checkpoints into a report byte-identical to one
-//!   sequential run.
+//!   range, and resumes only a checkpoint of that same range;
+//!   [`voltboot::campaign::merge_shards`] recombines a complete set of
+//!   shard checkpoints into a report byte-identical to one sequential
+//!   run.
 //! * **Service longevity** — worker panics are contained to degraded
 //!   per-rep records, every shared lock recovers from poisoning, and
 //!   corrupt checkpoints surface as typed protocol errors; none of

@@ -12,7 +12,7 @@
 //!
 //! With a state directory configured ([`RegistryConfig::state_dir`]),
 //! the registry is also *durable*: every lifecycle transition is
-//! written through the CRC-sealed [`Journal`](crate::journal::Journal)
+//! written through the CRC-sealed [`Journal`]
 //! before the in-memory table reflects it, finished reports persist as
 //! `job-<id>.report.json`, and running jobs checkpoint under the same
 //! directory. [`Registry::with_config`] replays the journal on
@@ -26,7 +26,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
-use voltboot::campaign::Checkpoint;
+use voltboot::campaign::{Checkpoint, RunPlan};
 use voltboot_telemetry::metrics::{self, Counter, Gauge, LatencyHist, MetricsRegistry};
 use voltboot_telemetry::Progress;
 
@@ -907,13 +907,13 @@ fn run_in_process(
             }
         }
     }
-    let campaign = spec.campaign().observe(Arc::clone(&progress));
-    let result = if resume {
-        campaign.resume_shard_parallel(spec.threads, &checkpoint, spec.victim())
-    } else {
-        campaign.run_checkpointed_parallel(spec.threads, &checkpoint, spec.victim())
-    };
-    let result = result.map_err(|e| sanitize(&e.to_string()))?;
+    let plan = RunPlan::new().threads(spec.threads);
+    let plan = if resume { plan.continue_from(&checkpoint) } else { plan.checkpoint(&checkpoint) };
+    let result = spec
+        .campaign()
+        .observe(Arc::clone(&progress))
+        .execute(&plan, spec.victim())
+        .map_err(|e| sanitize(&e.to_string()))?;
     std::fs::remove_file(&checkpoint).ok();
     Ok(result.to_json())
 }

@@ -9,7 +9,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use voltboot::campaign::ShardRange;
+use voltboot::campaign::RunPlan;
 use voltboot_server::journal::{Journal, JournalEvent};
 use voltboot_server::{JobState, Registry, RegistryConfig, SweepSpec};
 
@@ -81,15 +81,8 @@ fn interrupted_job_resumes_from_its_checkpoint_byte_identical() {
         ],
     );
     let checkpoint = dir.join("job-1.checkpoint");
-    spec.campaign()
-        .run_shard_partial_parallel(
-            spec.threads,
-            ShardRange { start: 0, end: spec.reps },
-            2,
-            &checkpoint,
-            spec.victim(),
-        )
-        .expect("leave a partial checkpoint behind");
+    let killed = RunPlan::new().threads(spec.threads).checkpoint(&checkpoint).stop_after(2);
+    spec.campaign().execute(&killed, spec.victim()).expect("leave a partial checkpoint behind");
 
     let (registry, state) = recover_and_wait(&dir, 1);
     assert_eq!(state, JobState::Done);

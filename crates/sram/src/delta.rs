@@ -40,7 +40,7 @@
 //!   dense path's `data & !lost` (padding is never lost). The strong-1
 //!   contribution is the same plane row masked by the same lost mask.
 //! * **Metastable samples.** Both paths call the *same*
-//!   [`engine::sample_meta_word`] kernel with the same hoisted
+//!   `engine::sample_meta_word` kernel with the same hoisted
 //!   `event_base(seed, event_id)` and the same **absolute** cell
 //!   indices, so the counter-mode RNG words drawn per cell per event
 //!   are identical — the sparse path doesn't re-seed or re-index
@@ -58,7 +58,7 @@
 //!
 //! Baselines live next to their die in the current [`PlaneCache`]
 //! (none under a [`PlaneCache::dense`] one), and are only built for
-//! conditions seen at least twice ([`PlaneCache::baseline_slot`]):
+//! conditions seen at least twice (`PlaneCache::baseline_slot`):
 //! brown-out depths are continuous, so a faulted rep's condition is
 //! usually unique and must not pay a build. Reps hold baselines through
 //! `Arc` leases — eviction and [`PlaneCache::clear`] only forget a

@@ -11,9 +11,9 @@
 //! This module replaces it with three layers, each **bit-exact** with the
 //! scalar path:
 //!
-//! 1. **Die planes** ([`DiePlanes`]) — per `(seed, distribution, size)`,
+//! 1. **Die planes** (`DiePlanes`) — per `(seed, distribution, size)`,
 //!    three independently built per-cell streams, each transposed into
-//!    bit-sliced, tile-major rows of [`TILE_WORDS`] words (4096 cells a
+//!    bit-sliced, tile-major rows of `TILE_WORDS` words (4096 cells a
 //!    tile, L1-resident while they resolve): the **power-up** stream
 //!    (strong-1 and metastable masks plus the quantized bias plane),
 //!    the **DRV** stream (12 bucket bit-planes) and the **decay** stream
@@ -35,7 +35,7 @@
 //! 2. **Lane kernels** — resolution is pure mask algebra over the bucket
 //!    planes: an MSB-first eq-prefix scan compares 64 cells per row
 //!    operation (~2 ALU ops per row, 12 rows), and the const-generic
-//!    [`resolve_chunk`] widens that to 256-bit effective lanes by
+//!    `resolve_chunk` widens that to 256-bit effective lanes by
 //!    processing four consecutive words per step. Only cells whose
 //!    bucket *equals* the query bucket fall back to the exact scalar
 //!    derivation, which keeps the result identical to the reference
