@@ -99,14 +99,10 @@ impl Dram {
         }
     }
 
-    /// Writes one raw cell byte, bypassing the scrambler — the physics
-    /// path used by the remanence model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is out of range.
-    pub fn write_raw(&mut self, addr: u64, byte: u8) {
-        self.bytes[addr as usize] = byte;
+    /// Every raw cell byte, writable and bypassing the scrambler — the
+    /// physics path used by the remanence model.
+    pub(crate) fn cells_mut(&mut self) -> &mut [u8] {
+        &mut self.bytes
     }
 
     fn pad(key: u64, addr: u64) -> u8 {
